@@ -4,11 +4,13 @@
      hc_report attrib m_888.json m_cr.json m_ir.json
      hc_report diff BENCH_1.json BENCH_3.json --tol kernels_ns_per_run.=0.30
      hc_report baseline smoke.json        # vs baselines/gcc_smoke.json
+     hc_report validate [--jsonl|--prom] FILE...
 
    Everything is read from disk through lib/report's dependency-free
    JSON/CSV loaders — this binary never runs a simulation. diff/baseline
    exit 1 on any regression and 2 on baseline metrics missing from the
-   candidate, so CI can gate on the result. *)
+   candidate, and validate exits 1 on a malformed artifact, so CI can gate
+   on the result. *)
 
 module Json = Hc_report.Json
 module Loader = Hc_report.Loader
@@ -481,6 +483,67 @@ let baseline_cmd =
   let doc = "diff a run against the committed baseline (CI gate)" in
   Cmd.v (Cmd.info "baseline" ~doc)
     Term.(const run $ cand $ baseline $ tols_arg $ default_tol_arg $ all_arg)
+(* ---- validate ---- *)
+
+(* Strict well-formedness gate for artifacts, on the parsers the readers
+   themselves use: a whole-file JSON value, a JSONL stream (exactly one
+   object per line), or a Prometheus text exposition with at least one
+   sample. *)
+let validate_cmd =
+  let lines s =
+    (* keep line numbering exact: tolerate one trailing newline only *)
+    match List.rev (String.split_on_char '\n' s) with
+    | "" :: rest -> List.rev rest
+    | all -> List.rev all
+  in
+  let check_json s =
+    match Json.parse s with
+    | Ok _ -> Ok (Printf.sprintf "valid JSON (%d bytes)" (String.length s))
+    | Error at -> Error (Printf.sprintf "INVALID JSON at byte %d" at)
+  in
+  let check_jsonl s =
+    let rec go n = function
+      | [] when n = 0 -> Error "EMPTY JSONL stream"
+      | [] -> Ok (Printf.sprintf "valid JSONL (%d records)" n)
+      | line :: rest -> (
+        match Json.parse line with
+        | Ok (Json.Object _) -> go (n + 1) rest
+        | Ok _ -> Error (Printf.sprintf "INVALID JSONL at line %d: not an object" (n + 1))
+        | Error at ->
+          Error (Printf.sprintf "INVALID JSONL at line %d byte %d" (n + 1) at) )
+    in
+    go 0 (lines s)
+  in
+  let check_prom s =
+    match Hc_obs.Prom.parse s with
+    | Ok [] -> Error "EMPTY exposition (no samples)"
+    | Ok entries ->
+      Ok (Printf.sprintf "valid exposition (%d samples)" (List.length entries))
+    | Error msg -> Error ("INVALID exposition at " ^ msg)
+  in
+  let run check files =
+    let valid path =
+      match check (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok msg -> Printf.printf "%s: %s\n" path msg; true
+      | Error msg -> Printf.eprintf "%s: %s\n" path msg; false
+      | exception Sys_error e -> Printf.eprintf "%s\n" e; false
+    in
+    (* check every file, then fail if any was malformed *)
+    if not (List.fold_left (fun ok path -> valid path && ok) true files) then exit 1
+  in
+  let check =
+    Arg.(
+      value
+      & vflag check_json
+          [ (check_jsonl, info [ "jsonl" ] ~doc:"one JSON object per line");
+            (check_prom, info [ "prom" ] ~doc:"Prometheus text exposition 0.0.4") ])
+  in
+  let files = Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE") in
+  let doc =
+    "strictly validate artifacts (JSON by default) and exit 1 if any is \
+     malformed"
+  in
+  Cmd.v (Cmd.info "validate" ~doc) Term.(const run $ check $ files)
 
 let () =
   let doc = "read, summarise and diff helper-cluster run artifacts" in
@@ -489,4 +552,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ report_cmd; attrib_cmd; topdown_cmd; trend_cmd; spans_cmd;
-            diff_cmd; baseline_cmd ]))
+            diff_cmd; baseline_cmd; validate_cmd ]))

@@ -1,6 +1,7 @@
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Value = Hc_isa.Value
 module Semantics = Hc_isa.Semantics
 module Trace = Hc_trace.Trace
@@ -98,8 +99,10 @@ let catalogue =
       i_detail =
         "An immediate operand is its own ground truth: the recorded \
          source value in src_vals must equal the immediate bit for bit. \
-         A mismatch means the value flow of the trace was corrupted \
-         after generation.";
+         Packed traces keep one value per operand, so every loaded trace \
+         satisfies this by construction; packing a record that breaks it \
+         (Uop_soa.add) raises Invalid_argument instead of producing a \
+         trace for the linter.";
       i_example =
         "error[E102] gcc.trace:uop-212: immediate operand 0x40 but \
          recorded source value 0x41" };
@@ -168,7 +171,7 @@ let catalogue =
       i_summary = "forward width-analysis soundness violation";
       i_detail =
         "A uop the forward known-bits pass classified provably narrow \
-         has wide ground-truth values (Uop.is_888_bits fails). The \
+         has wide ground-truth values (Uop_soa.is_888_bits fails). The \
          abstract domain's contract — abstract values contain the \
          concrete ones — is broken; this is a hard analysis bug, never a \
          property of the trace.";
@@ -272,7 +275,7 @@ let emit e ~code ~severity ~loc fmt =
         e.diags <- { code; severity; loc; message } :: e.diags)
     fmt
 
-let uop_loc e (u : Uop.t) = Printf.sprintf "%s:uop-%d" e.file u.Uop.id
+let uop_loc e id = Printf.sprintf "%s:uop-%d" e.file id
 
 let finish e =
   let overflow =
@@ -293,61 +296,68 @@ let finish e =
 
 (* ----- trace checks ----- *)
 
-let check_sources e (u : Uop.t) (vals : Value.t option array) =
-  List.iter2
-    (fun src v ->
-      match src with
-      | Uop.Imm imm ->
-        if imm <> v then
-          emit e ~code:"E102" ~severity:Error ~loc:(uop_loc e u)
-            "immediate operand %s but recorded source value %s"
-            (Value.to_hex imm) (Value.to_hex v)
-      | Uop.Reg r -> (
-        match vals.(Reg.to_index r) with
-        | Some w when w <> v ->
-          let code, what =
-            if r = Reg.Eflags then ("E104", "flags")
-            else ("E103", Reg.to_string r)
-          in
-          emit e ~code ~severity:Error ~loc:(uop_loc e u)
-            "%s read %s but its last writer produced %s" what (Value.to_hex v)
-            (Value.to_hex w)
-        | Some _ | None -> () ))
-    u.Uop.srcs u.Uop.src_vals
+(* The checks read the trace's columns. E102 (an immediate disagreeing
+   with its recorded source value) holds by construction there: the
+   columns keep a single value per immediate operand, and packing a
+   record that breaks it raises (Uop_soa.add). *)
 
-let check_uop e (u : Uop.t) (vals : Value.t option array) =
+let eflags_index = Reg.to_index Reg.Eflags
+
+let check_sources e soa i (vals : Value.t option array) =
+  let lo = Uop_soa.src_base soa i in
+  for j = lo to lo + Uop_soa.nsrcs soa i - 1 do
+    let r = Uop_soa.src_reg soa j and v = Uop_soa.src_val soa j in
+    if r >= 0 then
+      match vals.(r) with
+      | Some w when w <> v ->
+        let code, what =
+          if r = eflags_index then ("E104", "flags")
+          else ("E103", Reg.to_string (Reg.of_index r))
+        in
+        emit e ~code ~severity:Error ~loc:(uop_loc e (Uop_soa.id soa i))
+          "%s read %s but its last writer produced %s" what (Value.to_hex v)
+          (Value.to_hex w)
+      | Some _ | None -> ()
+  done
+
+let check_uop e soa i (vals : Value.t option array) =
+  let loc = uop_loc e (Uop_soa.id soa i) in
+  let op = Uop_soa.op soa i in
+  let lo = Uop_soa.src_base soa i and ns = Uop_soa.nsrcs soa i in
+  let result = Uop_soa.result soa i in
   (* structural flag pairing: a conditional branch consumes exactly the
      flags register, nothing else *)
-  if u.Uop.op = Opcode.Branch_cond && u.Uop.srcs <> [ Uop.Reg Reg.Eflags ] then
-    emit e ~code:"E104" ~severity:Error ~loc:(uop_loc e u)
+  if op = Opcode.Branch_cond && not (ns = 1 && Uop_soa.src_reg soa lo = eflags_index)
+  then
+    emit e ~code:"E104" ~severity:Error ~loc
       "conditional branch must read exactly the flags register";
-  check_sources e u vals;
-  if u.Uop.ul1_miss && not u.Uop.dl0_miss then
-    emit e ~code:"E105" ~severity:Error ~loc:(uop_loc e u)
+  check_sources e soa i vals;
+  if Uop_soa.ul1_miss soa i && not (Uop_soa.dl0_miss soa i) then
+    emit e ~code:"E105" ~severity:Error ~loc
       "ul1_miss set without dl0_miss (miss monotonicity violated)";
-  ( match Semantics.eval u.Uop.op u.Uop.src_vals with
-  | Some r when r <> u.Uop.result ->
-    emit e ~code:"E106" ~severity:Error ~loc:(uop_loc e u)
+  ( match Semantics.eval op (List.init ns (fun k -> Uop_soa.src_val soa (lo + k))) with
+  | Some r when r <> result ->
+    emit e ~code:"E106" ~severity:Error ~loc
       "%s result %s but evaluating the sources gives %s"
-      (Opcode.to_string u.Uop.op) (Value.to_hex u.Uop.result) (Value.to_hex r)
+      (Opcode.to_string op) (Value.to_hex result) (Value.to_hex r)
   | Some _ | None -> () );
-  if Opcode.is_memory u.Uop.op then begin
-    match u.Uop.src_vals with
-    | base :: offset :: _ ->
-      let agu = Value.add base offset in
-      if u.Uop.mem_addr <> agu then
-        emit e ~code:"E107" ~severity:Error ~loc:(uop_loc e u)
+  if Opcode.is_memory op then begin
+    if ns >= 2 then begin
+      let agu = Value.add (Uop_soa.src_val soa lo) (Uop_soa.src_val soa (lo + 1)) in
+      let mem_addr = Uop_soa.mem_addr soa i in
+      if mem_addr <> agu then
+        emit e ~code:"E107" ~severity:Error ~loc
           "memory address %s but base + offset is %s"
-          (Value.to_hex u.Uop.mem_addr) (Value.to_hex agu)
-    | [] | [ _ ] ->
-      emit e ~code:"E107" ~severity:Error ~loc:(uop_loc e u)
+          (Value.to_hex mem_addr) (Value.to_hex agu)
+    end
+    else
+      emit e ~code:"E107" ~severity:Error ~loc
         "memory uop with fewer than two sources (base + offset expected)"
   end;
   (* same writeback the generator and the static pass use *)
-  ( match u.Uop.dst with
-  | Some d -> vals.(Reg.to_index d) <- Some u.Uop.result
-  | None -> () );
-  if Uop.writes_flags u then vals.(Reg.to_index Reg.Eflags) <- Some u.Uop.result
+  let d = Uop_soa.dst_index soa i in
+  if d >= 0 then vals.(d) <- Some result;
+  if Opcode.writes_flags op then vals.(eflags_index) <- Some result
 
 (* Expected realized mix, accounting for the cmp a conditional branch
    site emits alongside the branch itself: every class fraction is scaled
@@ -389,12 +399,12 @@ let check_mix e (p : Profile.t) tr =
 let analysis_checks e (bd : Static.bidir) tr =
   List.iter
     (fun (v : Static.violation) ->
-      emit e ~code:"E110" ~severity:Error ~loc:(uop_loc e v.Static.uop)
+      emit e ~code:"E110" ~severity:Error ~loc:(uop_loc e v.Static.uop.Uop.id)
         "provably-narrow uop has wide ground truth (analysis soundness bug)")
     (Static.soundness_violations bd.Static.base tr);
   List.iter
     (fun (v : Livebits.violation) ->
-      emit e ~code:"E111" ~severity:Error ~loc:(uop_loc e v.Livebits.uop)
+      emit e ~code:"E111" ~severity:Error ~loc:(uop_loc e v.Livebits.uop.Uop.id)
         "provably-dead bits 0x%x are observable at uop %d (live-bits \
          soundness bug)"
         v.Livebits.flipped v.Livebits.consumer_index)
@@ -412,18 +422,15 @@ let check_analysis ?(file = "<trace>") bd tr =
 
 let check_trace ?(file = "<trace>") ?expected_profile ?(bits = 8) tr =
   let e = emitter file in
+  let soa = Trace.soa tr in
   let vals = Array.make Reg.count None in
-  let prev_id = ref None in
-  Trace.iter
-    (fun u ->
-      ( match !prev_id with
-      | Some p when u.Uop.id <> p + 1 ->
-        emit e ~code:"E101" ~severity:Error ~loc:(uop_loc e u)
-          "uop id %d follows %d (ids must be dense)" u.Uop.id p
-      | Some _ | None -> () );
-      prev_id := Some u.Uop.id;
-      check_uop e u vals)
-    tr;
+  for i = 0 to Uop_soa.length soa - 1 do
+    let id = Uop_soa.id soa i in
+    if i > 0 && id <> Uop_soa.id soa (i - 1) + 1 then
+      emit e ~code:"E101" ~severity:Error ~loc:(uop_loc e id)
+        "uop id %d follows %d (ids must be dense)" id (Uop_soa.id soa (i - 1));
+    check_uop e soa i vals
+  done;
   analysis_checks e (Static.analyze_bidir ~bits tr) tr;
   ( match expected_profile with
   | Some p -> check_mix e p tr

@@ -31,7 +31,6 @@ let mask32 = 0xFFFF_FFFF
 
 type t = {
   bits : int;
-  first_id : int;
   live : int array;  (* per trace position: result bits consumed downstream *)
 }
 
@@ -153,7 +152,7 @@ let analyze ?(bits = 8) ?known_amount (tr : Trace.t) =
       if r >= 0 then demand.(r) <- demand.(r) lor (!scratch).(j)
     done
   done;
-  { bits; first_id = (if n = 0 then 0 else Uop_soa.id soa 0); live }
+  { bits; live }
 
 let live_mask t ~index = t.live.(index)
 
@@ -173,77 +172,80 @@ type violation = {
   flipped : int;  (* the dead-bit mask that was flipped *)
 }
 
+let eflags_index = Reg.to_index Reg.Eflags
+
+(* source values of uop [i], ground truth except where [taint] (when
+   given) holds a forked register value *)
+let src_values ?taint soa i =
+  let lo = Uop_soa.src_base soa i in
+  List.init (Uop_soa.nsrcs soa i) (fun k ->
+      let j = lo + k in
+      let truth = Uop_soa.src_val soa j in
+      match taint with
+      | Some taint when Uop_soa.src_reg soa j >= 0 -> (
+        match Hashtbl.find_opt taint (Uop_soa.src_reg soa j) with
+        | Some v -> v
+        | None -> truth)
+      | Some _ | None -> truth)
+
+let reads_any soa i taint =
+  let lo = Uop_soa.src_base soa i in
+  let hit = ref false in
+  for j = lo to lo + Uop_soa.nsrcs soa i - 1 do
+    let r = Uop_soa.src_reg soa j in
+    if r >= 0 && Hashtbl.mem taint r then hit := true
+  done;
+  !hit
+
 (* Taint-bounded forward replay: flip every claimed-dead high bit of uop
    [i]'s result at once, then re-evaluate downstream per Semantics.eval,
    tracking only the registers whose value now differs from ground truth
-   (the trace's own [src_vals]/[result] fields are the ground truth, so
-   the fork carries just a sparse overlay). The mutation is a violation
+   (the trace's source-value and result columns are the ground truth,
+   so the fork carries just a sparse overlay). The mutation is a violation
    iff a full-width consumer (an opcode the evaluator cannot compute:
    load address, store, branch, fp) reads a differing register, or any
    difference survives to the trace exit. The replay stops as soon as
    the overlay drains — overwrites kill taint — which keeps the sweep
    near-linear on real traces. *)
 let check_mutation (tr : Trace.t) ~index ~flipped =
-  let n = Trace.length tr in
-  let u0 = Trace.get tr index in
+  let soa = Trace.soa tr in
+  let n = Uop_soa.length soa in
   let taint : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let set_taint r v truth =
     if v land mask32 = truth land mask32 then Hashtbl.remove taint r
     else Hashtbl.replace taint r (v land mask32)
   in
-  ( match u0.Uop.dst with
-  | Some d -> set_taint (Reg.to_index d) (u0.Uop.result lxor flipped) u0.Uop.result
-  | None -> () );
-  if Uop.writes_flags u0 then
-    set_taint (Reg.to_index Reg.Eflags) (u0.Uop.result lxor flipped)
-      u0.Uop.result;
+  (* uop [i]'s writeback, destination register then flags *)
+  let write i f =
+    let d = Uop_soa.dst_index soa i in
+    if d >= 0 then f d;
+    if Uop_soa.writes_flags soa i then f eflags_index
+  in
+  let r0 = Uop_soa.result soa index in
+  write index (fun r -> set_taint r (r0 lxor flipped) r0);
   let result = ref None in
   let j = ref (index + 1) in
   while !result = None && Hashtbl.length taint > 0 && !j < n do
-    let u = Trace.get tr !j in
-    let reads_tainted =
-      List.exists
-        (function
-          | Uop.Reg r -> Hashtbl.mem taint (Reg.to_index r)
-          | Uop.Imm _ -> false)
-        u.Uop.srcs
-    in
-    if reads_tainted then begin
-      match Semantics.eval u.Uop.op u.Uop.src_vals with
+    let i = !j in
+    if reads_any soa i taint then begin
+      let op = Uop_soa.op soa i in
+      match Semantics.eval op (src_values soa i) with
       | None ->
         (* full-width consumer observed a differing value *)
-        result := Some !j
+        result := Some i
       | Some _ ->
-        let forked_srcs =
-          List.map2
-            (fun src truth ->
-              match src with
-              | Uop.Reg r -> (
-                match Hashtbl.find_opt taint (Reg.to_index r) with
-                | Some v -> v
-                | None -> truth)
-              | Uop.Imm _ -> truth)
-            u.Uop.srcs u.Uop.src_vals
-        in
         let forked =
-          match Semantics.eval u.Uop.op forked_srcs with
+          match Semantics.eval op (src_values ~taint soa i) with
           | Some r -> r
           | None -> assert false
         in
-        ( match u.Uop.dst with
-        | Some d -> set_taint (Reg.to_index d) forked u.Uop.result
-        | None -> () );
-        if Uop.writes_flags u then
-          set_taint (Reg.to_index Reg.Eflags) forked u.Uop.result
+        let truth = Uop_soa.result soa i in
+        write i (fun r -> set_taint r forked truth)
     end
-    else begin
+    else
       (* writes without tainted reads recompute ground truth: overwrite
          kills the taint *)
-      ( match u.Uop.dst with
-      | Some d -> Hashtbl.remove taint (Reg.to_index d)
-      | None -> () );
-      if Uop.writes_flags u then Hashtbl.remove taint (Reg.to_index Reg.Eflags)
-    end;
+      write i (Hashtbl.remove taint);
     incr j
   done;
   match !result with
@@ -253,14 +255,17 @@ let check_mutation (tr : Trace.t) ~index ~flipped =
     if Hashtbl.length taint > 0 then Some n else None
 
 let soundness_violations t (tr : Trace.t) =
+  let soa = Trace.soa tr in
   let acc = ref [] in
-  for i = Trace.length tr - 1 downto 0 do
-    let u = Trace.get tr i in
-    if Uop.has_dest u || Uop.writes_flags u then begin
+  for i = Uop_soa.length soa - 1 downto 0 do
+    if Uop_soa.has_dest soa i || Uop_soa.writes_flags soa i then begin
       let flipped = dead_high t ~index:i in
       if flipped <> 0 then
         match check_mutation tr ~index:i ~flipped with
-        | Some c -> acc := { index = i; uop = u; consumer_index = c; flipped } :: !acc
+        | Some c ->
+          acc :=
+            { index = i; uop = Trace.get tr i; consumer_index = c; flipped }
+            :: !acc
         | None -> ()
     end
   done;

@@ -19,7 +19,6 @@
 
 type t = {
   bits : int;  (** narrowness threshold the analysis was run for *)
-  first_id : int;  (** id of the first uop (sliced traces start offset) *)
   live : int array;
       (** by trace position: mask of the uop's result bits consumed
           downstream (including the flags readers when it writes flags) *)

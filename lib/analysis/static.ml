@@ -12,8 +12,8 @@ module Trace = Hc_trace.Trace
    (immediates are singletons), the result comes from the per-opcode
    transfer function, and writeback mirrors the generator exactly —
    destination register first, then the flags for flag-writing opcodes,
-   both receiving the architected result. Ground-truth fields
-   ([Uop.result], [Uop.src_vals]) are never consulted, so the verdicts
+   both receiving the architected result. Ground-truth columns
+   (results, register source values) are never consulted, so the verdicts
    are what a compile-time pass could prove from the instruction stream
    alone.
 
@@ -24,7 +24,6 @@ module Trace = Hc_trace.Trace
 
 type t = {
   bits : int;
-  first_id : int;
   provable : bool array;  (* by trace position: provably 8-8-8 *)
   steerable : bool array;  (* provable and reachable by the oracle scheme *)
   provable_count : int;
@@ -35,14 +34,12 @@ type t = {
    8_8_8 rule can reach in Policy.decide — helper-capable opcodes minus
    branches (they go through the BR path) and stores (the MOB keeps them
    wide). *)
-let oracle_eligible_op (op : Opcode.t) =
+let oracle_eligible (op : Opcode.t) =
   (match Opcode.exec_class op with
   | Opcode.Int_alu | Opcode.Mem | Opcode.Ctrl -> true
   | Opcode.Int_mul | Opcode.Fp -> false)
   && (not (Opcode.is_branch op))
   && op <> Opcode.Store
-
-let oracle_eligible (u : Uop.t) = oracle_eligible_op u.Uop.op
 
 (* Analysis-pass instrumentation behind the ambient obs opt-in: the same
    one-atomic-load guard every other instrumentation point uses, so the
@@ -116,7 +113,7 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
       | Some a -> a
       | None -> Absval.top
     in
-    (* the 8-8-8 shape of Uop.is_888_bits, proven instead of observed:
+    (* the 8-8-8 shape of Uop_soa.is_888_bits, proven instead of observed:
        every source narrow, and a narrow result whenever the uop produces
        anything observable *)
     let srcs_narrow = ref true in
@@ -133,7 +130,7 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
     in
     provable.(i) <- p;
     if p then incr provable_count;
-    if p && oracle_eligible_op op then begin
+    if p && oracle_eligible op then begin
       steerable.(i) <- true;
       incr steerable_count
     end;
@@ -149,7 +146,6 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
     if wf then regs.(eflags) <- result
   done;
   ( { bits;
-      first_id = (if n = 0 then 0 else Uop_soa.id soa 0);
       provable; steerable;
       provable_count = !provable_count;
       steerable_count = !steerable_count },
@@ -160,25 +156,6 @@ let analyze ?(bits = 8) (tr : Trace.t) =
   obs_pass ~pass:"forward" ~uops:(Trace.length tr) ~provable:t.provable_count
     ~elapsed_ns:ns;
   t
-
-let index_of t (u : Uop.t) =
-  let i = u.Uop.id - t.first_id in
-  if i >= 0 && i < Array.length t.provable then Some i else None
-
-let in_range t u = Option.is_some (index_of t u)
-
-(* Verdict lookups distinguish "analyzed and wide" from "outside the
-   analyzed window" (sliced traces start at a nonzero first_id, and a
-   foreign uop id must not read as a wide verdict). *)
-let verdict t u = Option.map (fun i -> t.provable.(i)) (index_of t u)
-
-let steerable_verdict t u = Option.map (fun i -> t.steerable.(i)) (index_of t u)
-
-let provably_narrow t u =
-  match verdict t u with Some p -> p | None -> false
-
-let steerable_uop t u =
-  match steerable_verdict t u with Some s -> s | None -> false
 
 type violation = {
   index : int;
@@ -271,7 +248,7 @@ let analyze_bidir ?(bits = 8) (tr : Trace.t) =
           assert ((not base.provable.(i)) || safe);
           bidir_provable.(i) <- safe;
           if safe then incr pc;
-          if safe && oracle_eligible_op op then begin
+          if safe && oracle_eligible op then begin
             bidir_steerable.(i) <- true;
             incr sc
           end
@@ -282,14 +259,3 @@ let analyze_bidir ?(bits = 8) (tr : Trace.t) =
   obs_pass ~pass:"bidir" ~uops:(Trace.length tr)
     ~provable:bd.bidir_provable_count ~elapsed_ns:bwd_ns;
   bd
-
-let bidir_verdict b u =
-  Option.map (fun i -> b.bidir_provable.(i)) (index_of b.base u)
-
-let bidir_provable_uop b u =
-  match bidir_verdict b u with Some p -> p | None -> false
-
-let bidir_steerable_uop b u =
-  match index_of b.base u with
-  | Some i -> b.bidir_steerable.(i)
-  | None -> false

@@ -146,8 +146,11 @@ let map t f xs =
           ( match f xs.(i) with
           | v -> results.(i) <- Some v
           | exception e ->
+            (* keep the worker's backtrace: re-raising on the caller's
+               domain would otherwise report the re-raise site *)
+            let bt = Printexc.get_raw_backtrace () in
             Mutex.lock bm;
-            if !first_error = None then first_error := Some e;
+            if !first_error = None then first_error := Some (e, bt);
             Mutex.unlock bm );
           Mutex.lock bm;
           decr remaining;
@@ -173,7 +176,7 @@ let map t f xs =
     t.stats.(0).w_wait_s <-
       t.stats.(0).w_wait_s +. (Unix.gettimeofday () -. wait0);
     ( match !first_error with
-    | Some e -> raise e
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> () );
     Array.map
       (function Some v -> v | None -> assert false (* batch settled *))

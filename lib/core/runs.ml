@@ -80,12 +80,11 @@ let resolve_policy ~(static : Hc_analysis.Static.bidir) ~scheme =
   if String.equal scheme oracle_scheme then
     ( Config.with_scheme Config.default (Config.find_scheme "8_8_8"),
       Hc_steering.Policy.static_oracle ~reason:Hc_sim.Steer.R888
-        ~provably_narrow:
-          (Hc_analysis.Static.provably_narrow static.Hc_analysis.Static.base) )
+        ~provably_narrow:(Array.get static.base.provable) )
   else if String.equal scheme bidir_oracle_scheme then
     ( Config.with_scheme Config.default (Config.find_scheme "8_8_8"),
       Hc_steering.Policy.static_oracle ~reason:Hc_sim.Steer.Rlive
-        ~provably_narrow:(Hc_analysis.Static.bidir_provable_uop static) )
+        ~provably_narrow:(Array.get static.bidir_provable) )
   else
     ( Config.with_scheme Config.default (Config.find_scheme scheme),
       Hc_steering.Policy.decide )

@@ -9,10 +9,11 @@
    trace ground-truth booleans pack into one flag byte per uop (the same
    packing the HCTB wire format uses).
 
-   [of_uops]/[to_uops] are exact inverses: [to_uops (of_uops a)] is
-   structurally equal to [a] (proven by QCheck round-trip in
-   test_uop_soa.ml), so a consumer may switch between views freely
-   without changing any observable result. *)
+   The columns are the only trace representation production code reads.
+   [Uop.t] records exist at the edges: [add]/[of_uops] pack them (the
+   generator and the text reader), [get] materializes one for display,
+   and [to_uops] serves tests. [to_uops (of_uops a)] is structurally
+   equal to [a] (proven by QCheck round-trip in test_uop_soa.ml). *)
 
 type t = {
   len : int;
@@ -63,11 +64,10 @@ let src_val t j = Array.unsafe_get t.src_vals j
 let writes_flags t i = Opcode.writes_flags (op t i)
 let reads_flags t i = Opcode.reads_flags (op t i)
 
-(* ----- ground-truth width shapes, column-driven -----
+(* ----- ground-truth width shapes -----
 
-   Exact mirrors of the [Uop] record versions (see uop.ml); the pipeline's
-   recovery check and the predictors' training walk these instead of the
-   record's operand lists. *)
+   The one definition of each shape: the pipeline's recovery check, the
+   predictors' training, the analyses and the oracles all read these. *)
 
 let all_srcs_narrow_bits ~bits t i =
   let lo = src_base t i and n = nsrcs t i in
@@ -103,74 +103,6 @@ let carry_not_propagated_bits ~bits t i =
   let a = src_val t lo and b = src_val t (lo + 1) in
   let wide = if Detector.narrow ~bits a then b else a in
   shape_result t i lsr bits = wide lsr bits
-
-(* ----- converters ----- *)
-
-let of_uops (uops : Uop.t array) =
-  let len = Array.length uops in
-  let total_srcs = ref 0 in
-  Array.iter (fun (u : Uop.t) -> total_srcs := !total_srcs + List.length u.Uop.srcs) uops;
-  let ids = Array.make len 0 in
-  let pcs = Array.make len 0 in
-  let ops = Array.make len 0 in
-  let dsts = Array.make len (-1) in
-  let results = Array.make len 0 in
-  let mem_addrs = Array.make len 0 in
-  let flags = Bytes.make len '\000' in
-  let src_off = Array.make (len + 1) 0 in
-  let src_regs = Array.make !total_srcs (-1) in
-  let src_vals = Array.make !total_srcs 0 in
-  let k = ref 0 in
-  for i = 0 to len - 1 do
-    let u = uops.(i) in
-    ids.(i) <- u.Uop.id;
-    pcs.(i) <- u.Uop.pc;
-    ops.(i) <- Opcode.to_index u.Uop.op;
-    dsts.(i) <- (match u.Uop.dst with None -> -1 | Some r -> Reg.to_index r);
-    results.(i) <- u.Uop.result;
-    mem_addrs.(i) <- u.Uop.mem_addr;
-    Bytes.set flags i
-      (Char.chr
-         ((if u.Uop.taken then flag_taken else 0)
-         lor (if u.Uop.branch_mispredicted then flag_mispredicted else 0)
-         lor (if u.Uop.dl0_miss then flag_dl0 else 0)
-         lor if u.Uop.ul1_miss then flag_ul1 else 0));
-    List.iter2
-      (fun src v ->
-        src_regs.(!k) <- (match src with Uop.Imm _ -> -1 | Uop.Reg r -> Reg.to_index r);
-        src_vals.(!k) <- v;
-        incr k)
-      u.Uop.srcs u.Uop.src_vals;
-    src_off.(i + 1) <- !k
-  done;
-  { len; ids; pcs; ops; dsts; results; mem_addrs; flags; src_off; src_regs;
-    src_vals }
-
-let to_uops t =
-  Array.init t.len (fun i ->
-      let lo = t.src_off.(i) and hi = t.src_off.(i + 1) in
-      let srcs = ref [] and src_vals = ref [] in
-      for j = hi - 1 downto lo do
-        let v = t.src_vals.(j) in
-        ( match t.src_regs.(j) with
-        | -1 -> srcs := Uop.Imm v :: !srcs
-        | r -> srcs := Uop.Reg (Reg.of_index r) :: !srcs );
-        src_vals := v :: !src_vals
-      done;
-      {
-        Uop.id = t.ids.(i);
-        pc = t.pcs.(i);
-        op = Opcode.of_index t.ops.(i);
-        srcs = !srcs;
-        dst = (match t.dsts.(i) with -1 -> None | d -> Some (Reg.of_index d));
-        src_vals = !src_vals;
-        result = t.results.(i);
-        mem_addr = t.mem_addrs.(i);
-        taken = flag t i flag_taken;
-        branch_mispredicted = flag t i flag_mispredicted;
-        dl0_miss = flag t i flag_dl0;
-        ul1_miss = flag t i flag_ul1;
-      })
 
 (* Contiguous slice: uop columns narrow to the window and the operand
    offsets rebase to the sliced operand columns; ids are preserved, not
@@ -280,3 +212,61 @@ let build b =
     src_regs = shrink b.b_src_regs;
     src_vals = shrink b.b_src_vals;
   }
+
+(* ----- record converters (text I/O, debug output and tests) ----- *)
+
+(* An immediate has a single value column, so a record whose immediate
+   disagrees with its recorded source value cannot be packed. *)
+let rec push_srcs b srcs vals =
+  match srcs, vals with
+  | Uop.Imm imm :: _, v :: _ when imm <> v ->
+    invalid_arg "Uop_soa.add: immediate disagrees with its source value"
+  | src :: srcs, v :: vals ->
+    push_src b ~reg:(match src with Uop.Imm _ -> -1 | Uop.Reg r -> Reg.to_index r) ~v;
+    push_srcs b srcs vals
+  | [], [] -> ()
+  | _ :: _, [] | [], _ :: _ -> invalid_arg "Uop_soa.add: srcs and src_vals lengths differ"
+
+(* Append one record: its operands, then its scalar columns. *)
+let add b (u : Uop.t) =
+  push_srcs b u.Uop.srcs u.Uop.src_vals;
+  close_uop b ~id:u.Uop.id ~pc:u.Uop.pc ~op:(Opcode.to_index u.Uop.op)
+    ~dst:(match u.Uop.dst with None -> -1 | Some r -> Reg.to_index r)
+    ~result:u.Uop.result ~mem_addr:u.Uop.mem_addr
+    ~flags:
+      ((if u.Uop.taken then flag_taken else 0)
+      lor (if u.Uop.branch_mispredicted then flag_mispredicted else 0)
+      lor (if u.Uop.dl0_miss then flag_dl0 else 0)
+      lor if u.Uop.ul1_miss then flag_ul1 else 0)
+
+let of_uops (uops : Uop.t array) =
+  let b = builder (Array.length uops) in
+  Array.iter (add b) uops;
+  build b
+
+let get t i =
+  let lo = t.src_off.(i) and hi = t.src_off.(i + 1) in
+  let srcs = ref [] and src_vals = ref [] in
+  for j = hi - 1 downto lo do
+    let v = t.src_vals.(j) in
+    ( match t.src_regs.(j) with
+    | -1 -> srcs := Uop.Imm v :: !srcs
+    | r -> srcs := Uop.Reg (Reg.of_index r) :: !srcs );
+    src_vals := v :: !src_vals
+  done;
+  {
+    Uop.id = t.ids.(i);
+    pc = t.pcs.(i);
+    op = Opcode.of_index t.ops.(i);
+    srcs = !srcs;
+    dst = (match t.dsts.(i) with -1 -> None | d -> Some (Reg.of_index d));
+    src_vals = !src_vals;
+    result = t.results.(i);
+    mem_addr = t.mem_addrs.(i);
+    taken = flag t i flag_taken;
+    branch_mispredicted = flag t i flag_mispredicted;
+    dl0_miss = flag t i flag_dl0;
+    ul1_miss = flag t i flag_ul1;
+  }
+
+let to_uops t = Array.init t.len (get t)

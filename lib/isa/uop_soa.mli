@@ -5,11 +5,14 @@
     destination-register indices, results, memory addresses and a packed
     flag byte per uop, with operands flattened into shared
     register-index/value columns addressed through a prefix-offset
-    column. The simulator, the static analyses and the HCTB codec walk
-    these columns without allocating or constructing [Uop.t] records.
+    column. This is the only trace representation production code
+    reads: the simulator, steering, the static analyses, the trace scans
+    and the HCTB codec walk these columns without allocating or
+    constructing [Uop.t] records.
 
-    {!of_uops} and {!to_uops} are exact inverses, so the SoA view and
-    the record view of a trace are interchangeable. *)
+    Records appear only at the edges: {!add} and {!of_uops} pack them
+    (trace generation, the text reader), {!get} materializes one for
+    display and diagnostics, and {!to_uops} serves tests. *)
 
 type t = private {
   len : int;
@@ -66,22 +69,31 @@ val src_val : t -> int -> int
 
 (** {1 Ground-truth width shapes}
 
-    Column-driven mirrors of the [Uop.t] helpers used by the simulator's
-    width-misprediction check and predictor training. *)
+    The single definition of each shape, against a helper datapath of
+    [bits] bits (the paper's helper is [~bits:8]). The simulator's
+    width-misprediction check, predictor training, the Fig 11 scan and
+    the ablation oracle all read these. *)
 
 val all_srcs_narrow_bits : bits:int -> t -> int -> bool
+(** Every concrete source value fits the helper datapath. *)
+
 val is_888_bits : bits:int -> t -> int -> bool
+(** 8-8-8 eligibility: every source value narrow and, when the uop
+    produces anything observable (a destination register or the flags),
+    a narrow result too. *)
+
 val is_8_32_32_bits : bits:int -> t -> int -> bool
+(** CR shape (§3.5): two sources, exactly one wide, with a wide
+    {!shape_result}. *)
+
 val carry_not_propagated_bits : bits:int -> t -> int -> bool
+(** For a carry-eligible uop of the 8-32-32 shape: did the traced
+    execution leave the upper bits of the wide source unchanged
+    (Fig 10)? [false] when the shape or opcode does not apply. *)
 
 val shape_result : t -> int -> int
-(** The value whose width classifies the uop: AGU output for memory uops,
-    [result] otherwise. *)
-
-(** {1 Converters} *)
-
-val of_uops : Uop.t array -> t
-val to_uops : t -> Uop.t array
+(** The value whose width classifies the uop: AGU output (the effective
+    address, Fig 10) for memory uops, [result] otherwise. *)
 
 val sub : t -> pos:int -> len:int -> t
 (** Contiguous slice with operand offsets rebased; ids are preserved.
@@ -118,3 +130,18 @@ val close_uop :
 
 val build : builder -> t
 (** @raise Invalid_argument unless exactly [len] uops were closed. *)
+
+(** {1 Record converters} *)
+
+val add : builder -> Uop.t -> unit
+(** Push one record's operands and close it.
+    @raise Invalid_argument when an immediate operand disagrees with its
+    recorded source value (the columns keep one value per operand). *)
+
+val of_uops : Uop.t array -> t
+
+val get : t -> int -> Uop.t
+(** Materialize the record of uop [i]. *)
+
+val to_uops : t -> Uop.t array
+(** [to_uops (of_uops a) = a]. *)

@@ -92,7 +92,7 @@ let write ~path samples =
     (fun () -> output_string oc (to_string samples));
   path
 
-(* ----- parser (for hc_metrics show/diff and the smoke checker) ----- *)
+(* ----- parser (for hc_metrics show/diff and hc_report validate) ----- *)
 
 type entry = {
   e_name : string;
@@ -124,6 +124,9 @@ let parse_sample_line ~lineno line =
       let ls = !pos in
       while !pos < n && is_name_char line.[!pos] do incr pos done;
       if !pos = ls then fail "expected label name";
+      (match line.[ls] with
+       | '0' .. '9' | ':' -> fail "label name must start with a letter or '_'"
+       | _ -> ());
       let lname = String.sub line ls (!pos - ls) in
       if !pos >= n || line.[!pos] <> '=' then fail "expected '=' after label name";
       incr pos;
@@ -186,24 +189,37 @@ let parse_sample_line ~lineno line =
   (* an optional timestamp may follow; accept and ignore it *)
   while !pos < n && line.[!pos] = ' ' do incr pos done;
   if !pos < n then begin
+    (* a timestamp is an integer count of milliseconds *)
     let ts = String.sub line !pos (n - !pos) in
-    if float_of_string_opt ts = None then fail "trailing garbage after value"
+    let digits =
+      if ts.[0] = '-' || ts.[0] = '+' then String.sub ts 1 (String.length ts - 1)
+      else ts
+    in
+    if digits = "" || not (String.for_all (function '0' .. '9' -> true | _ -> false) digits)
+    then fail "trailing garbage after value"
   end;
   { e_name = name; e_labels = List.rev !labels; e_value = value }
 
 let known_types = [ "counter"; "gauge"; "histogram"; "summary"; "untyped" ]
 
+let metric_name name =
+  name <> ""
+  && String.for_all is_name_char name
+  && match name.[0] with '0' .. '9' -> false | _ -> true
+
 let validate_comment ~lineno line =
-  (* "# HELP name text", "# TYPE name kind", or a plain comment *)
+  (* "# HELP name text", "# TYPE name kind", or a plain "# " comment *)
+  if line <> "#" && (String.length line < 2 || line.[1] <> ' ') then
+    raise (Parse_error (lineno, "comment must start with \"# \""));
   match String.split_on_char ' ' line with
   | "#" :: "TYPE" :: name :: kind :: [] ->
-    if name = "" || not (String.for_all is_name_char name) then
+    if not (metric_name name) then
       raise (Parse_error (lineno, "bad TYPE metric name"));
     if not (List.mem kind known_types) then
       raise (Parse_error (lineno, "unknown TYPE " ^ kind))
   | "#" :: "TYPE" :: _ -> raise (Parse_error (lineno, "malformed TYPE line"))
   | "#" :: "HELP" :: name :: _ ->
-    if name = "" || not (String.for_all is_name_char name) then
+    if not (metric_name name) then
       raise (Parse_error (lineno, "bad HELP metric name"))
   | _ -> ()  (* free-form comment *)
 

@@ -8,8 +8,8 @@ type t =
 
 exception Bad of int
 
-(* Same grammar as scripts/check_json.ml, but every production returns
-   the value it scanned. Raw lexemes are sliced straight out of the
+(* Strict RFC 8259 grammar; every production returns the value it
+   scanned. Raw lexemes are sliced straight out of the
    input so nothing is normalised away. *)
 let parse (s : string) : (t, int) result =
   let n = String.length s in

@@ -5,10 +5,10 @@
    wheel) reused across runs, and options/tuples/closures are replaced by
    sentinels and int codes. Accounting and event-sink paths may allocate;
    they are guarded off the untraced run. The bench's --alloc-gate checks
-   the marginal minor-words-per-uop of a warm untraced run stays zero. *)
+   the marginal minor-words-per-uop of an untraced run stays zero, warm
+   and on the first run after a codec decode. *)
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
-module Uop = Hc_isa.Uop
 module Uop_soa = Hc_isa.Uop_soa
 module Value = Hc_isa.Value
 module Width = Hc_isa.Width
@@ -135,13 +135,12 @@ let reason_code = function
   | Steer.Rir -> r_ir
   | Steer.Rlive -> r_live
 
-let null_uop =
-  Uop.make ~id:(-1) ~pc:0 ~op:Opcode.Nop ~srcs:[] ~dst:None ~src_vals:[] ()
-
 type node = {
   mutable n_id : int;  (* dispatch order, unique *)
   mutable n_trace_idx : int;  (* position in the trace; -1 for copies *)
-  mutable n_uop : Uop.t;  (* [null_uop] for copies *)
+  mutable n_op : Opcode.t;
+      (* the opcode column at [n_trace_idx], read once at dispatch; [Nop]
+         for copies *)
   mutable n_kind : int;  (* k_normal / k_copy / k_slice *)
   (* copy payload (valid when n_kind = k_copy) *)
   mutable n_cv : vstate;  (* the value being copied *)
@@ -192,7 +191,7 @@ type node = {
 let new_node () =
   let rec n =
     {
-      n_id = min_int; n_trace_idx = -1; n_uop = null_uop; n_kind = k_normal;
+      n_id = min_int; n_trace_idx = -1; n_op = Opcode.Nop; n_kind = k_normal;
       n_cv = null_vstate; n_copy_target = 0; n_copy_epoch = 0;
       n_copy_publishes = false; n_slice_final = false;
       n_cluster = Config.Wide; n_squashed = true; n_done = true;
@@ -374,7 +373,6 @@ let reset_scratch sc ~rob_size =
   sc.due_len <- 0;
   for k = 0 to sc.p_ncur - 1 do
     let n = sc.p_nodes.(k) in
-    n.n_uop <- null_uop;
     n.n_prev <- n;
     n.n_next <- n
   done;
@@ -400,9 +398,8 @@ type stall_src = Sr_none | Sr_rob | Sr_iq | Sr_regfile | Sr_mob
 type state = {
   cfg : Config.t;
   trace : Trace.t;
-  soa : Uop_soa.t;  (* the trace's packed columns: def-use and width
-                       checks read these instead of uop records *)
-  uarr : Uop.t array;  (* record view, forced once per trace *)
+  soa : Uop_soa.t;  (* the trace's packed columns, indexed by trace
+                       position; the only representation read here *)
   trace_len : int;
   decide : decide;
   preds : Bundle.t;
@@ -537,7 +534,7 @@ let alloc_node st =
   sc.p_ncur <- sc.p_ncur + 1;
   n.n_id <- min_int;
   n.n_trace_idx <- -1;
-  n.n_uop <- null_uop;
+  n.n_op <- Opcode.Nop;
   n.n_kind <- k_normal;
   n.n_cv <- null_vstate;
   n.n_copy_target <- 0;
@@ -613,7 +610,7 @@ let schedule st node tick =
 let node_event_name (node : node) =
   if node.n_kind = k_copy then "copy"
   else if node.n_kind = k_slice then "slice"
-  else if node.n_trace_idx >= 0 then Opcode.to_string node.n_uop.Uop.op
+  else if node.n_trace_idx >= 0 then Opcode.to_string node.n_op
   else "?"
 
 let emit st kind (node : node) ~a ~b =
@@ -656,46 +653,50 @@ let take_sample st sink =
 
 (* ----- latency model ----- *)
 
-let mem_time st (u : Uop.t) =
+let mem_time st idx =
   let cfg = st.cfg in
   match cfg.Config.memory_model with
   | Config.Mem_trace_flags ->
-    if u.Uop.dl0_miss then
-      if u.Uop.ul1_miss then cfg.Config.mem_latency else cfg.Config.ul1_latency
+    if Uop_soa.dl0_miss st.soa idx then
+      if Uop_soa.ul1_miss st.soa idx then cfg.Config.mem_latency
+      else cfg.Config.ul1_latency
     else cfg.Config.dl0_latency
   | Config.Mem_cache_sim ->
     (* the latency triple lives in [st.lat3] so a cache-model access does
        not build a tuple per uop *)
-    Cache.Hierarchy.latency st.memory ~latencies:st.lat3 u.Uop.mem_addr
+    Cache.Hierarchy.latency st.memory ~latencies:st.lat3
+      (Uop_soa.mem_addr st.soa idx)
 
 let exec_ticks st cluster (node : node) =
   let cfg = st.cfg in
   if node.n_kind = k_copy then 2 * cfg.Config.copy_latency
   else if node.n_kind = k_slice then 1
   else begin
-    let u = node.n_uop in
-    let base = Opcode.latency u.Uop.op in
+    let idx = node.n_trace_idx and op = node.n_op in
+    let base = Opcode.latency op in
     match cluster with
     | Config.Wide ->
-      if u.Uop.op = Opcode.Load then (2 * base) + (2 * mem_time st u)
-      else 2 * base
+      if op = Opcode.Load then (2 * base) + (2 * mem_time st idx) else 2 * base
     | Config.Narrow ->
       (* the 8-bit backend is clocked 2x: one slow-cycle op takes one tick;
          memory hierarchy time is absolute and unchanged *)
       let alu = if cfg.Config.helper_fast_clock then base else 2 * base in
-      if u.Uop.op = Opcode.Load then alu + (2 * mem_time st u) else alu
+      if op = Opcode.Load then alu + (2 * mem_time st idx) else alu
   end
 
 (* ----- rename-time width knowledge ----- *)
 
-let source_info st (operand : Uop.operand) =
-  match operand with
-  | Uop.Imm v ->
+let source_info st i k =
+  let j = Uop_soa.src_base st.soa i + k in
+  let r = Uop_soa.src_reg st.soa j in
+  if r < 0 then
+    (* an immediate: its width is architecturally known *)
     Steer.src_info_bits
-      ~narrow:(Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits v)
+      ~narrow:(Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits
+                 (Uop_soa.src_val st.soa j))
       ~known:true ~cluster_code:Steer.cluster_code_none
-  | Uop.Reg r ->
-    let v = st.rename.(Reg.to_index r) in
+  else begin
+    let v = st.rename.(r) in
     if v == null_vstate then
       (* architectural value from before the trace window: a long-ready,
          conservatively wide register *)
@@ -712,6 +713,7 @@ let source_info st (operand : Uop.operand) =
       else
         Steer.src_info_bits ~narrow:v.v_pred_narrow ~known:false ~cluster_code
     end
+  end
 
 let eflags_index = Reg.to_index Reg.Eflags
 
@@ -743,13 +745,11 @@ let create ?sink ?accounting cfg decide trace =
   let counters = Counter.create () in
   let sc = Domain.DLS.get scratch_key in
   reset_scratch sc ~rob_size:cfg.Config.rob_size;
-  let uarr = Trace.uops trace in
+  let soa = Trace.soa trace in
   let st =
     {
-      cfg; trace; decide; sink;
-      soa = Trace.soa trace;
-      uarr;
-      trace_len = Array.length uarr;
+      cfg; trace; decide; sink; soa;
+      trace_len = Uop_soa.length soa;
       acct = accounting;
       sc;
       steer_ctx = None;
@@ -834,6 +834,7 @@ let create ?sink ?accounting cfg decide trace =
       {
         Steer.cfg = st.cfg;
         preds = st.preds;
+        uops = Steer.view soa;
         source_info = source_info st;
         flags_in_narrow = flags_in_narrow st;
         occupancy_lt = occupancy_lt st;
@@ -930,8 +931,7 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
 (* Train the CP predictor with the dying value's copy history on a
    rename-table overwrite. (The seed also kept an undo log here; nothing
    ever consumed it, so it is gone.) *)
-let rename_write st reg (v : vstate) =
-  let i = Reg.to_index reg in
+let rename_write st i (v : vstate) =
   let prev = st.rename.(i) in
   if prev != null_vstate && st.cfg.Config.scheme.Config.cp then
     Copy_predictor.update st.preds.Bundle.copy prev.v_pc
@@ -956,12 +956,16 @@ exception Dispatch_stall
 
 (* ----- dispatch ----- *)
 
-let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
+let dispatch_split st ~trace_idx ~pred_narrow =
   let cfg = st.cfg in
   let sc = st.sc in
+  let soa = st.soa in
   let slices = 4 in
-  let produces_value = Uop.has_dest u || Uop.writes_flags u in
-  let result_copies = if Uop.has_dest u then slices else 0 in
+  let op = Uop_soa.op soa trace_idx and pc = Uop_soa.pc soa trace_idx in
+  let has_dest = Uop_soa.has_dest soa trace_idx in
+  let writes_flags = Opcode.writes_flags op in
+  let produces_value = has_dest || writes_flags in
+  let result_copies = if has_dest then slices else 0 in
   (* the byte lanes read their sources as 8-bit slices through the same
      cross-cluster byte paths the CR tag scheme uses, so no source copies
      are charged - only queue slots, issue slots and the chained latency *)
@@ -980,15 +984,17 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
   credit_prefetch_deps st Config.Narrow;
   let dest =
     if produces_value then
-      alloc_vstate st ~pc:u.Uop.pc
-        ~narrow:(Width.is_narrow_bits ~bits:cfg.Config.narrow_bits u.Uop.result)
+      alloc_vstate st ~pc
+        ~narrow:
+          (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
+             (Uop_soa.result soa trace_idx))
         ~pred_narrow ~cluster:Config.Narrow
     else null_vstate
   in
   (* carry-rippling ops chain lane k+1 on lane k's carry-out; bitwise,
      move and store lanes are independent byte operations *)
   let ripples =
-    match u.Uop.op with
+    match op with
     | Opcode.Add | Opcode.Sub | Opcode.Cmp -> true
     | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Mov | Opcode.Store
     | Opcode.Shl | Opcode.Shr | Opcode.Lea | Opcode.Mul | Opcode.Div
@@ -1002,7 +1008,7 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
     let node = alloc_node st in
     node.n_id <- fresh_node_id st;
     node.n_trace_idx <- trace_idx;
-    node.n_uop <- u;
+    node.n_op <- op;
     node.n_kind <- k_slice;
     node.n_slice_final <- final;
     node.n_cluster <- Config.Narrow;
@@ -1021,8 +1027,7 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
     let slice_dest =
       if final then dest
       else
-        alloc_vstate st ~pc:u.Uop.pc ~narrow:true ~pred_narrow:true
-          ~cluster:Config.Narrow
+        alloc_vstate st ~pc ~narrow:true ~pred_narrow:true ~cluster:Config.Narrow
     in
     node.n_dest <- slice_dest;
     node.n_reason <- r_ir;
@@ -1035,15 +1040,13 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
   done;
   st.split_prev <- null_vstate;
   if dest != null_vstate then begin
-    ( match u.Uop.dst with
-    | Some reg -> rename_write st reg dest
-    | None -> () );
-    if Uop.writes_flags u then rename_write st Reg.Eflags dest;
+    if has_dest then rename_write st (Uop_soa.dst_index soa trace_idx) dest;
+    if writes_flags then rename_write st eflags_index dest;
     (* publish the result to the wide cluster as a burst of byte copies;
        only the last one makes the value visible there (§3.7). A
        replicated register file publishes through its write ports
        instead. *)
-    if Uop.has_dest u && not cfg.Config.replicated_regfile then
+    if has_dest && not cfg.Config.replicated_regfile then
       for k = 0 to slices - 1 do
         make_copy st ~cv:dest ~target:Config.Wide ~prefetch:false
           ~publishes:(k = slices - 1)
@@ -1051,12 +1054,16 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
   end;
   Counter.lincr st.c_split_dispatched
 
-let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
-    ~cluster ~reason =
+let dispatch_steered st ~trace_idx ~pred_narrow ~pred_confident ~cluster
+    ~reason =
   let cfg = st.cfg in
   let scheme = cfg.Config.scheme in
   let sc = st.sc in
-  let produces_value = Uop.has_dest u || Uop.writes_flags u in
+  let soa = st.soa in
+  let op = Uop_soa.op soa trace_idx and pc = Uop_soa.pc soa trace_idx in
+  let has_dest = Uop_soa.has_dest soa trace_idx in
+  let writes_flags = Opcode.writes_flags op in
+  let produces_value = has_dest || writes_flags in
   let remote_reads = reason = r_cr in
   mark_copies_needed st ~cluster
     ~no_copies:(remote_reads || cfg.Config.replicated_regfile);
@@ -1078,7 +1085,7 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
     st.stall_src <- Sr_regfile;
     raise Dispatch_stall
   end;
-  let is_mem = u.Uop.op = Opcode.Load || u.Uop.op = Opcode.Store in
+  let is_mem = op = Opcode.Load || op = Opcode.Store in
   if is_mem then begin
     if st.mob_count >= cfg.Config.mob_size then begin
       st.stall_src <- Sr_mob;
@@ -1094,32 +1101,35 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
   credit_prefetch_deps st cluster;
   let dest =
     if produces_value then
-      alloc_vstate st ~pc:u.Uop.pc
-        ~narrow:(Width.is_narrow_bits ~bits:cfg.Config.narrow_bits u.Uop.result)
+      alloc_vstate st ~pc
+        ~narrow:
+          (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
+             (Uop_soa.result soa trace_idx))
         ~pred_narrow ~cluster
     else null_vstate
   in
   let lr_replicate =
-    scheme.Config.lr && u.Uop.op = Opcode.Load && pred_narrow
+    scheme.Config.lr && op = Opcode.Load && pred_narrow
     && ((not cfg.Config.confidence_gate) || pred_confident)
   in
   (* resolve the direction prediction in program order, here at rename *)
   let br_mispredicted =
-    if u.Uop.op <> Opcode.Branch_cond then false
+    if op <> Opcode.Branch_cond then false
     else
       match cfg.Config.branch_model with
-      | Config.Br_trace_flags -> u.Uop.branch_mispredicted
+      | Config.Br_trace_flags -> Uop_soa.branch_mispredicted soa trace_idx
       | Config.Br_gshare ->
-        Branch_predictor.update st.gshare u.Uop.pc ~taken:u.Uop.taken
+        Branch_predictor.update st.gshare pc
+          ~taken:(Uop_soa.taken soa trace_idx)
   in
   if dest != null_vstate then begin
     dest.v_lr <- lr_replicate;
-    dest.v_from_load <- u.Uop.op = Opcode.Load
+    dest.v_from_load <- op = Opcode.Load
   end;
   let node = alloc_node st in
   node.n_id <- fresh_node_id st;
   node.n_trace_idx <- trace_idx;
-  node.n_uop <- u;
+  node.n_op <- op;
   node.n_cluster <- cluster;
   ensure_node_dep_cap node sc.dp_n;
   for j = 0 to sc.dp_n - 1 do
@@ -1135,18 +1145,16 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
   node.n_remote_reads <- remote_reads;
   if dest != null_vstate then begin
     if Regfile.allocate st.regfile cluster then node.n_alloc <- ci;
-    ( match u.Uop.dst with
-    | Some reg -> rename_write st reg dest
-    | None -> () );
-    if Uop.writes_flags u then rename_write st Reg.Eflags dest
+    if has_dest then rename_write st (Uop_soa.dst_index soa trace_idx) dest;
+    if writes_flags then rename_write st eflags_index dest
   end;
   enqueue_iq st cluster node;
   rob_add st node;
   (* CP: producer-side copy prefetching (§3.6). Narrow producers prefetch
      predicted copies to the wide cluster; wide producers of predicted
      narrow values prefetch toward the helper. *)
-  if dest != null_vstate && scheme.Config.cp && Uop.has_dest u then begin
-    let cp_hit = Copy_predictor.predict st.preds.Bundle.copy u.Uop.pc in
+  if dest != null_vstate && scheme.Config.cp && has_dest then begin
+    let cp_hit = Copy_predictor.predict st.preds.Bundle.copy pc in
     if cluster = Config.Narrow && cp_hit && iq_free st Config.Narrow > 0 then
       make_copy st ~cv:dest ~target:Config.Wide ~prefetch:true ~publishes:true
     else if
@@ -1156,36 +1164,35 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
   end;
   Counter.lincr st.c_dispatch.(ci)
 
-let dispatch_uop st ~forced_wide (u : Uop.t) ~trace_idx =
+let dispatch_uop st ~forced_wide ~trace_idx =
   let scheme = st.cfg.Config.scheme in
-  let pred_narrow = Width_predictor.predict_narrow st.preds.Bundle.width u.Uop.pc in
-  let pred_confident =
-    Width_predictor.predict_confident st.preds.Bundle.width u.Uop.pc
-  in
+  let pc = Uop_soa.pc st.soa trace_idx in
+  let pred_narrow = Width_predictor.predict_narrow st.preds.Bundle.width pc in
+  let pred_confident = Width_predictor.predict_confident st.preds.Bundle.width pc in
   Counter.lincr st.c_wpred_lookup;
   let decision =
     if forced_wide || not scheme.Config.helper then Steer.steer_wide
-    else st.decide (get_ctx st) u
+    else st.decide (get_ctx st) trace_idx
   in
   collect_reg_deps st trace_idx;
   match decision with
-  | Steer.Split -> dispatch_split st u ~trace_idx ~pred_narrow
+  | Steer.Split -> dispatch_split st ~trace_idx ~pred_narrow
   | Steer.Steer cluster ->
-    dispatch_steered st u ~trace_idx ~pred_narrow ~pred_confident ~cluster
+    dispatch_steered st ~trace_idx ~pred_narrow ~pred_confident ~cluster
       ~reason:r_none
   | Steer.Steer_narrow reason ->
-    dispatch_steered st u ~trace_idx ~pred_narrow ~pred_confident
+    dispatch_steered st ~trace_idx ~pred_narrow ~pred_confident
       ~cluster:Config.Narrow ~reason:(reason_code reason)
 
 exception Fetch_miss
 
 let rec frontend_loop st budget =
   if budget > 0 && st.fetch_idx < st.trace_len then begin
-    let u = st.uarr.(st.fetch_idx) in
     ( match st.cfg.Config.frontend_model with
     | Config.Fe_ideal -> ()
     | Config.Fe_trace_cache ->
-      if not (Trace_cache.lookup st.tcache u.Uop.pc) then begin
+      if not (Trace_cache.lookup st.tcache (Uop_soa.pc st.soa st.fetch_idx))
+      then begin
         (* build the trace line from the UL1 instruction stream *)
         st.fetch_resume <- st.now + (2 * st.cfg.Config.ul1_latency);
         Counter.lincr st.c_tc_miss;
@@ -1194,7 +1201,7 @@ let rec frontend_loop st budget =
     let forced_wide =
       Hashtbl.length st.force_wide > 0 && Hashtbl.mem st.force_wide st.fetch_idx
     in
-    dispatch_uop st ~forced_wide u ~trace_idx:st.fetch_idx;
+    dispatch_uop st ~forced_wide ~trace_idx:st.fetch_idx;
     st.fetch_idx <- st.fetch_idx + 1;
     frontend_loop st (budget - 1)
   end
@@ -1282,7 +1289,7 @@ let rec nready_walk st s (node : node) acc =
     let capable =
       node.n_trace_idx < 0
       ||
-      match Opcode.exec_class node.n_uop.Uop.op with
+      match Opcode.exec_class node.n_op with
       | Opcode.Int_alu | Opcode.Mem | Opcode.Ctrl -> true
       | Opcode.Int_mul | Opcode.Fp -> false
     in
@@ -1585,9 +1592,9 @@ let narrow_execution_wrong st (node : node) =
   else if node.n_reason = r_888 then
     not (Uop_soa.is_888_bits ~bits st.soa idx)
   else if node.n_reason = r_cr then begin
-    if node.n_uop.Uop.op = Opcode.Load then
+    if node.n_op = Opcode.Load then
       (not (Uop_soa.carry_not_propagated_bits ~bits st.soa idx))
-      || not (Width.is_narrow_bits ~bits node.n_uop.Uop.result)
+      || not (Width.is_narrow_bits ~bits (Uop_soa.result st.soa idx))
     else not (Uop_soa.carry_not_propagated_bits ~bits st.soa idx)
   end
   else
@@ -1599,24 +1606,32 @@ let narrow_execution_wrong st (node : node) =
 
 (* ----- writeback / completion ----- *)
 
-let train_predictors st (u : Uop.t) idx =
+let produces_value st (node : node) =
+  Uop_soa.has_dest st.soa node.n_trace_idx || Opcode.writes_flags node.n_op
+
+let train_predictors st (node : node) =
   let bits = st.cfg.Config.narrow_bits in
-  if Uop.has_dest u || Uop.writes_flags u then begin
-    Width_predictor.update st.preds.Bundle.width u.Uop.pc
-      ~narrow:(Width.is_narrow_bits ~bits u.Uop.result);
+  let soa = st.soa and idx = node.n_trace_idx in
+  let pc = Uop_soa.pc soa idx in
+  if produces_value st node then begin
+    Width_predictor.update st.preds.Bundle.width pc
+      ~narrow:(Width.is_narrow_bits ~bits (Uop_soa.result soa idx));
     Counter.lincr st.c_wpred_update
   end;
   if
     st.cfg.Config.scheme.Config.cr
-    && Opcode.carry_eligible u.Uop.op
-    && Uop_soa.nsrcs st.soa idx = 2
+    && Opcode.carry_eligible node.n_op
+    && Uop_soa.nsrcs soa idx = 2
   then
-    Carry_predictor.update st.preds.Bundle.carry u.Uop.pc
-      ~carry_local:(Uop_soa.carry_not_propagated_bits ~bits st.soa idx)
+    Carry_predictor.update st.preds.Bundle.carry pc
+      ~carry_local:(Uop_soa.carry_not_propagated_bits ~bits soa idx)
 
-let classify_prediction st (node : node) (u : Uop.t) ~fatal =
-  if Uop.has_dest u || Uop.writes_flags u then begin
-    let narrow = Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits u.Uop.result in
+let classify_prediction st (node : node) ~fatal =
+  if produces_value st node then begin
+    let narrow =
+      Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits
+        (Uop_soa.result st.soa node.n_trace_idx)
+    in
     let predicted =
       if node.n_dest != null_vstate then node.n_dest.v_pred_narrow else narrow
     in
@@ -1645,24 +1660,24 @@ let complete_slice st (node : node) =
     end
   end;
   if node.n_slice_final then begin
-    classify_prediction st node node.n_uop ~fatal:false;
-    train_predictors st node.n_uop node.n_trace_idx
+    classify_prediction st node ~fatal:false;
+    train_predictors st node
   end;
   Counter.lincr st.c_alu.(1);
   Counter.lincr st.c_regwrite.(1)
 
 let complete_normal st (node : node) =
-  let u = node.n_uop in
+  let idx = node.n_trace_idx in
   if node.n_is_mem then begin
     st.mob_count <- st.mob_count - 1;
     Counter.lincr
-      ( if u.Uop.dl0_miss then
-          if u.Uop.ul1_miss then st.c_mem_main else st.c_mem_ul1
+      ( if Uop_soa.dl0_miss st.soa idx then
+          if Uop_soa.ul1_miss st.soa idx then st.c_mem_main else st.c_mem_ul1
         else st.c_mem_dl0 )
   end;
   let fatal = node.n_cluster = Config.Narrow && narrow_execution_wrong st node in
-  classify_prediction st node u ~fatal;
-  train_predictors st u node.n_trace_idx;
+  classify_prediction st node ~fatal;
+  train_predictors st node;
   if fatal then begin
     if st.cfg.Config.replay_recovery then replay st node
     else
@@ -1694,7 +1709,7 @@ let complete_normal st (node : node) =
       end
     end;
     Counter.lincr st.c_regwrite.(own);
-    ( match Opcode.exec_class u.Uop.op with
+    ( match Opcode.exec_class node.n_op with
     | Opcode.Int_alu | Opcode.Ctrl -> Counter.lincr st.c_alu.(own)
     | Opcode.Int_mul -> Counter.lincr st.c_mul_wide
     | Opcode.Mem -> Counter.lincr st.c_agu.(own)

@@ -1,3 +1,23 @@
+(* The rename-visible view is the trace's columns behind an abstract
+   type whose accessors stop short of the ground-truth columns. *)
+module Uop_soa = Hc_isa.Uop_soa
+
+type view = Uop_soa.t
+
+let view soa = soa
+let pc = Uop_soa.pc
+let op = Uop_soa.op
+let has_dest = Uop_soa.has_dest
+let writes_flags = Uop_soa.writes_flags
+let reads_flags = Uop_soa.reads_flags
+let nsrcs = Uop_soa.nsrcs
+let src_reg v i k = Uop_soa.src_reg v (Uop_soa.src_base v i + k)
+
+let src_imm v i k =
+  let j = Uop_soa.src_base v i + k in
+  if Uop_soa.src_reg v j >= 0 then invalid_arg "Steer.src_imm: register operand";
+  Uop_soa.src_val v j
+
 (* Rename-time source knowledge, packed into an immediate int so the
    per-uop steering path allocates nothing: bit 0 = believed narrow,
    bit 1 = belief is actual (producer done) rather than predicted,
@@ -37,7 +57,8 @@ let si_cluster (si : src_info) =
 type ctx = {
   cfg : Config.t;
   preds : Hc_predictors.Bundle.t;
-  source_info : Hc_isa.Uop.operand -> src_info;
+  uops : view;
+  source_info : int -> int -> src_info;  (* uop position, operand *)
   flags_in_narrow : unit -> bool;
   occupancy_lt : Config.cluster -> float -> bool;
       (* issue-queue occupancy (len / iq_size) strictly below the bound *)
@@ -72,7 +93,7 @@ let steer_narrow_of = function
   | Rir -> steer_ir
   | Rlive -> steer_live
 
-type decide = ctx -> Hc_isa.Uop.t -> decision
+type decide = ctx -> int -> decision
 
 let reason_to_string = function
   | R888 -> "888"

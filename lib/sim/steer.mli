@@ -1,15 +1,43 @@
 (** The interface between the rename stage and a steering policy.
 
     At rename time the policy sees only what the hardware would see: the
+    uop's static fields (pc, opcode, operands, immediates), the
     prediction tables, the rename width table (actual widths for already
-    written-back producers, predictions otherwise), where each source value
-    currently lives, where the last flags writer went, and the issue-queue
-    occupancies. Ground-truth uop fields must not be consulted — the
-    pipeline discovers mispredictions at execute, not the policy.
+    written-back producers, predictions otherwise), where each source
+    value currently lives, where the last flags writer went, and the
+    issue-queue occupancies. A policy reaches the uop only through the
+    abstract {!view}, which has no accessor for results, register source
+    values, memory addresses, branch outcomes or cache misses — so the
+    rule that policies never consult ground truth is enforced by the
+    type: the pipeline discovers mispredictions at execute, not the
+    policy.
 
     The context is built once per simulation and every query returns an
     immediate value (packed int or bool), so a steering decision allocates
     nothing on the simulator's hot path. *)
+
+type view
+(** The rename-visible fields of a trace's uops, indexed by trace
+    position. *)
+
+val view : Hc_isa.Uop_soa.t -> view
+
+val pc : view -> int -> Hc_isa.Value.t
+val op : view -> int -> Hc_isa.Opcode.t
+val has_dest : view -> int -> bool
+val writes_flags : view -> int -> bool
+val reads_flags : view -> int -> bool
+
+val nsrcs : view -> int -> int
+
+val src_reg : view -> int -> int -> int
+(** [src_reg v i k] is the {!Hc_isa.Reg.to_index} of operand [k] of uop
+    [i], or [-1] when the operand is an immediate. *)
+
+val src_imm : view -> int -> int -> Hc_isa.Value.t
+(** The value of immediate operand [k] of uop [i] (architecturally
+    known at rename). @raise Invalid_argument on a register operand,
+    whose value is ground truth. *)
 
 type src_info = private int
 (** Rename-time knowledge about one source operand, packed into an
@@ -40,7 +68,10 @@ val si_cluster : src_info -> Config.cluster option
 type ctx = {
   cfg : Config.t;
   preds : Hc_predictors.Bundle.t;
-  source_info : Hc_isa.Uop.operand -> src_info;
+  uops : view;
+  source_info : int -> int -> src_info;
+      (** [source_info i k]: what rename knows about operand [k] of the
+          uop at trace position [i] *)
   flags_in_narrow : unit -> bool;
       (** did the most recent flags-writing uop steer to the helper
           cluster (the BR condition of §3.3) *)
@@ -97,8 +128,9 @@ val steer_live : decision  (** [Steer_narrow Rlive] *)
 val steer_narrow_of : reason -> decision
 (** The shared [Steer_narrow] value for a reason. *)
 
-type decide = ctx -> Hc_isa.Uop.t -> decision
-(** A steering policy as the rename stage calls it. [Pipeline.run] takes
+type decide = ctx -> int -> decision
+(** A steering policy as the rename stage calls it, with the trace
+    position of the uop being renamed. [Pipeline.run] takes
     any [decide]; the paper's stack lives in [Hc_steering.Policy], and
     oracle policies (e.g. the static-width bound) are just other values
     of this type. *)

@@ -1,4 +1,3 @@
-module Uop = Hc_isa.Uop
 module Uop_soa = Hc_isa.Uop_soa
 module Reg = Hc_isa.Reg
 module Opcode = Hc_isa.Opcode
@@ -15,26 +14,30 @@ let is_binary s =
   String.length s >= String.length magic
   && String.sub s 0 (String.length magic) = magic
 
-(* ----- name tables ----- *)
+(* ----- name tables -----
+
+   Every table in this module is built eagerly at module initialisation
+   and only read afterwards. A top-level [lazy] here would be forced on
+   first use by whichever domain gets there first, and two domains
+   forcing the same lazy value at once raise [CamlinternalLazy.Undefined]
+   in OCaml 5. *)
 
 let reg_names =
-  lazy
-    (let h = Hashtbl.create (2 * Reg.count) in
-     for i = 0 to Reg.count - 1 do
-       let r = Reg.of_index i in
-       Hashtbl.replace h (Reg.to_string r) r
-     done;
-     h)
+  let h = Hashtbl.create (2 * Reg.count) in
+  for i = 0 to Reg.count - 1 do
+    let r = Reg.of_index i in
+    Hashtbl.replace h (Reg.to_string r) r
+  done;
+  h
 
-let reg_of_name n = Hashtbl.find_opt (Lazy.force reg_names) n
+let reg_of_name n = Hashtbl.find_opt reg_names n
 
 let op_names =
-  lazy
-    (let h = Hashtbl.create 64 in
-     List.iter (fun op -> Hashtbl.replace h (Opcode.to_string op) op) Opcode.all;
-     h)
+  let h = Hashtbl.create 64 in
+  List.iter (fun op -> Hashtbl.replace h (Opcode.to_string op) op) Opcode.all;
+  h
 
-let op_of_name n = Hashtbl.find_opt (Lazy.force op_names) n
+let op_of_name n = Hashtbl.find_opt op_names n
 
 (* ----- CRC-32 (IEEE 802.3, reflected, 0xEDB88320) ----- *)
 
@@ -42,25 +45,24 @@ let op_of_name n = Hashtbl.find_opt (Lazy.force op_names) n
    step instead of 1, which matters because the CRC pass touches every
    byte of every cache reload. *)
 let crc_tables =
-  lazy
-    (let t = Array.make (4 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to 3 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
-       done
-     done;
-     t)
+  let t = Array.make (4 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 3 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
+    done
+  done;
+  t
 
 let crc32 s ~pos ~len =
-  let tbl = Lazy.force crc_tables in
+  let tbl = crc_tables in
   let c = ref 0xFFFF_FFFF in
   let i = ref pos in
   let stop = pos + len in
@@ -130,8 +132,7 @@ let encode (t : Trace.t) =
   done;
   (* walk the packed columns directly: the column contents are already
      the wire indices (opcode/register tables are written in enum order),
-     and the packed flag byte is the wire flag byte, so encoding never
-     forces the trace's record view *)
+     and the packed flag byte is the wire flag byte *)
   let soa = Trace.soa t in
   let prev_id = ref (-1) and prev_pc = ref 0 in
   for i = 0 to Uop_soa.length soa - 1 do

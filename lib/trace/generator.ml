@@ -548,10 +548,17 @@ let next st =
   writeback st u;
   u
 
-let generate ?(length = 50_000) p =
-  let st = create p in
-  let uops = Array.init length (fun _ -> next st) in
-  Trace.make ~name:p.Profile.name ~profile:p uops
+(* Each uop is packed into the columns as soon as it is generated; the
+   record itself is short-lived and never retained. *)
+let emit st length =
+  let p = st.profile in
+  let b = Hc_isa.Uop_soa.builder length in
+  for _ = 1 to length do
+    Hc_isa.Uop_soa.add b (next st)
+  done;
+  Trace.of_soa ~name:p.Profile.name ~profile:p (Hc_isa.Uop_soa.build b)
+
+let generate ?(length = 50_000) p = emit (create p) length
 
 let generate_sliced ?(length = 50_000) p =
   let st = create p in
@@ -559,5 +566,4 @@ let generate_sliced ?(length = 50_000) p =
   for _ = 1 to skip do
     ignore (next st)
   done;
-  let uops = Array.init length (fun _ -> next st) in
-  Trace.make ~name:p.Profile.name ~profile:p uops
+  emit st length

@@ -4,42 +4,32 @@
     dynamic uops with concrete values (the ground truth produced by
     {!Generator}).
 
-    Storage is a packed structure-of-arrays ({!Hc_isa.Uop_soa.t}) — the
-    hot paths (simulator, codec, static analyses) walk its columns
-    without allocating. A boxed {!Hc_isa.Uop.t} record view is
-    materialized lazily on first use of {!get}/{!iter}/{!fold}/{!uops}
-    and memoized, so record-based consumers pay the conversion once per
-    trace, not per run. *)
+    Storage is a packed structure-of-arrays ({!Hc_isa.Uop_soa.t}) and
+    nothing else: the simulator, steering, codec, analyses and scans all
+    read its columns. A trace keeps no [Uop.t] records; {!get}
+    materializes one on demand for display and diagnostics. Immutable
+    once built, so a trace is safe to share across domains. *)
 
 type t = private {
   name : string;
   profile : Profile.t;  (** the profile the trace was generated from *)
   soa : Hc_isa.Uop_soa.t;
-  mutable memo : Hc_isa.Uop.t array option;  (** use {!uops}, not this *)
 }
 
 val make : name:string -> profile:Profile.t -> Hc_isa.Uop.t array -> t
-(** Build from a record array (packs it; the array is also retained as
-    the memoized record view, so it must not be mutated afterwards). *)
+(** Pack a record array into columns; the records are not retained. *)
 
 val of_soa : name:string -> profile:Profile.t -> Hc_isa.Uop_soa.t -> t
-(** Build from packed columns without materializing any records — the
-    codec's zero-copy decode path. *)
+(** Wrap packed columns — the generator's and the codec's build path. *)
 
 val soa : t -> Hc_isa.Uop_soa.t
-
-val uops : t -> Hc_isa.Uop.t array
-(** The record view; forced and memoized on first call. Do not mutate. *)
 
 val length : t -> int
 
 val get : t -> int -> Hc_isa.Uop.t
-(** [get t i] is the [i]-th dynamic uop. @raise Invalid_argument when out
-    of bounds. *)
-
-val iter : (Hc_isa.Uop.t -> unit) -> t -> unit
-
-val fold : ('a -> Hc_isa.Uop.t -> 'a) -> 'a -> t -> 'a
+(** [get t i] materializes the [i]-th dynamic uop as a fresh record (for
+    display, text output and diagnostics; hot paths read {!soa}).
+    @raise Invalid_argument when out of bounds. *)
 
 val sub : t -> pos:int -> len:int -> t
 (** Contiguous sub-trace (uop ids are preserved, not renumbered). *)

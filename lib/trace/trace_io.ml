@@ -43,7 +43,10 @@ let save (t : Trace.t) path =
     (fun () ->
       Printf.fprintf oc "helper-cluster-trace v1 %s %d\n" t.Trace.name
         (Trace.length t);
-      Trace.iter (fun u -> output_string oc (uop_to_line u ^ "\n")) t)
+      for i = 0 to Trace.length t - 1 do
+        output_string oc (uop_to_line (Trace.get t i));
+        output_char oc '\n'
+      done)
 
 let save_binary = Codec.save
 
@@ -113,15 +116,16 @@ let load_text ~profile content =
       | Some _ | None -> failwith "bad header count")
     | _ -> failwith "bad header (expected helper-cluster-trace v1 ...)"
   in
-  let uops =
-    Array.init count (fun i ->
-        if i + 1 >= Array.length lines || lines.(i + 1) = "" then
-          failwith (Printf.sprintf "truncated at uop %d" i);
-        try uop_of_line lines.(i + 1)
-        with Failure msg ->
-          failwith (Printf.sprintf "line %d: %s" (i + 2) msg))
-  in
-  Trace.make ~name ~profile uops
+  (* each parsed record is packed straight into the columns *)
+  let b = Hc_isa.Uop_soa.builder count in
+  for i = 0 to count - 1 do
+    if i + 1 >= Array.length lines || lines.(i + 1) = "" then
+      failwith (Printf.sprintf "truncated at uop %d" i);
+    Hc_isa.Uop_soa.add b
+      (try uop_of_line lines.(i + 1)
+       with Failure msg -> failwith (Printf.sprintf "line %d: %s" (i + 2) msg))
+  done;
+  Trace.of_soa ~name ~profile (Hc_isa.Uop_soa.build b)
 
 let load ?profile path =
   let profile =
@@ -136,11 +140,6 @@ let load ?profile path =
   if Codec.is_binary content then Codec.decode ~profile content
   else load_text ~profile content
 
-let roundtrip_equal (a : Trace.t) (b : Trace.t) =
-  Trace.length a = Trace.length b
-  &&
-  let equal = ref true in
-  for i = 0 to Trace.length a - 1 do
-    if Trace.get a i <> Trace.get b i then equal := false
-  done;
-  !equal
+(* Packed columns are canonical (operand columns sized exactly), so
+   structural equality of the columns is equality of the uop sequences. *)
+let roundtrip_equal (a : Trace.t) (b : Trace.t) = Trace.soa a = Trace.soa b

@@ -19,7 +19,7 @@ let resolve scheme tr =
     ( Config.with_scheme Config.default (Config.find_scheme "8_8_8"),
       Hc_steering.Policy.static_oracle ~reason:Hc_sim.Steer.R888
         ~provably_narrow:
-          (Hc_analysis.Static.provably_narrow (Hc_analysis.Static.analyze tr))
+          (Array.get (Hc_analysis.Static.analyze tr).Hc_analysis.Static.provable)
     )
   else
     ( Config.with_scheme Config.default (Config.find_scheme scheme),

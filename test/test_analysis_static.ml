@@ -5,6 +5,7 @@
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Semantics = Hc_isa.Semantics
 module Profile = Hc_trace.Profile
 module Generator = Hc_trace.Generator
@@ -122,61 +123,53 @@ let test_soundness_all_seeds () =
     Profile.spec_int
 
 let test_verdict_lookup () =
+  (* verdicts are read by trace position (the static oracles index the
+     arrays with the position the pipeline is renaming): every verdict
+     array covers exactly the analyzed trace, and steerable is provable
+     restricted to the oracle-eligible opcodes *)
   let p = Profile.find_spec_int "gcc" in
   let tr = Generator.generate_sliced ~length:4_000 p in
-  let st = Static.analyze tr in
-  let in_window = Trace.get tr 0 in
-  Alcotest.(check bool) "first uop has a verdict" true
-    (Static.provably_narrow st in_window
-    || not (Static.provably_narrow st in_window));
-  let foreign = { in_window with Uop.id = in_window.Uop.id + 1_000_000 } in
-  Alcotest.(check bool) "out-of-window uop is never provable" false
-    (Static.provably_narrow st foreign);
-  Alcotest.(check bool) "out-of-window uop is never steerable" false
-    (Static.steerable_uop st foreign);
-  Alcotest.(check (option bool)) "out-of-window verdict is None" None
-    (Static.verdict st foreign);
-  Alcotest.(check bool) "out-of-window uop is not in range" false
-    (Static.in_range st foreign)
+  let st = Static.analyze tr and bd = Static.analyze_bidir tr in
+  let n = Trace.length tr in
+  Alcotest.(check int) "provable covers the trace" n (Array.length st.Static.provable);
+  Alcotest.(check int) "steerable covers the trace" n
+    (Array.length st.Static.steerable);
+  Alcotest.(check int) "bidir provable covers the trace" n
+    (Array.length bd.Static.bidir_provable);
+  Alcotest.(check int) "bidir steerable covers the trace" n
+    (Array.length bd.Static.bidir_steerable);
+  let soa = Trace.soa tr in
+  for i = 0 to n - 1 do
+    let eligible = Static.oracle_eligible (Uop_soa.op soa i) in
+    if st.Static.steerable.(i) <> (st.Static.provable.(i) && eligible) then
+      Alcotest.failf "steerable disagrees with provable at %d" i;
+    if bd.Static.bidir_steerable.(i) <> (bd.Static.bidir_provable.(i) && eligible)
+    then Alcotest.failf "bidir steerable disagrees with bidir provable at %d" i
+  done
 
 let test_sliced_window_lookup () =
   (* a Trace.sub slice preserves uop ids, so the analyzed window starts
-     at a first_id well above zero: ids below it (including every uop of
-     the un-sliced prefix) must read as no-verdict, never as a silent
-     "not provable" — and certainly never index the arrays off by one *)
+     at an id well above zero; the verdicts are nonetheless indexed by
+     position within the window, and agree with the analysis of the same
+     uops repacked as a standalone trace *)
   let p = Profile.find_spec_int "gcc" in
   let base = Generator.generate_sliced ~length:4_000 p in
   let pos = 1_000 and len = 2_000 in
   let sliced = Trace.sub base ~pos ~len in
   let st = Static.analyze sliced in
   let bd = Static.analyze_bidir sliced in
-  Alcotest.(check int) "first_id is the slice's first uop id"
-    (Trace.get sliced 0).Uop.id st.Static.first_id;
-  let before = Trace.get base (pos - 1) in
-  Alcotest.(check bool) "uop before the window is not in range" false
-    (Static.in_range st before);
-  Alcotest.(check (option bool)) "uop before the window has no verdict" None
-    (Static.verdict st before);
-  Alcotest.(check (option bool)) "nor a bidir verdict" None
-    (Static.bidir_verdict bd before);
-  let first = Trace.get sliced 0 and last = Trace.get sliced (len - 1) in
-  Alcotest.(check bool) "first uop of the window is in range" true
-    (Static.in_range st first);
-  Alcotest.(check bool) "last uop of the window is in range" true
-    (Static.in_range st last);
-  let after = Trace.get base (pos + len) in
-  Alcotest.(check bool) "uop just past the window is not in range" false
-    (Static.in_range st after);
-  Alcotest.(check (option bool)) "uop just past the window has no verdict"
-    None (Static.verdict st after);
-  (* the in-window verdicts agree between the lookups and the arrays *)
-  for i = 0 to len - 1 do
-    let u = Trace.get sliced i in
-    if Static.verdict st u <> Some st.Static.provable.(i) then
-      Alcotest.failf "verdict lookup disagrees with the array at %d" i;
-    if Static.bidir_verdict bd u <> Some bd.Static.bidir_provable.(i) then
-      Alcotest.failf "bidir verdict lookup disagrees with the array at %d" i
-  done
+  Alcotest.(check bool) "the window starts past id zero" true
+    ((Trace.get sliced 0).Uop.id >= pos);
+  Alcotest.(check int) "verdicts cover the window only" len
+    (Array.length st.Static.provable);
+  let repacked =
+    Trace.make ~name:sliced.Trace.name ~profile:sliced.Trace.profile
+      (Uop_soa.to_uops (Trace.soa sliced))
+  in
+  Alcotest.(check bool) "forward verdicts agree with the repacked window" true
+    (st.Static.provable = (Static.analyze repacked).Static.provable);
+  Alcotest.(check bool) "bidir verdicts agree with the repacked window" true
+    (bd.Static.bidir_provable = (Static.analyze_bidir repacked).Static.bidir_provable)
 
 let test_empty_trace () =
   let p = Profile.find_spec_int "gcc" in
@@ -190,9 +183,7 @@ let test_empty_trace () =
   Alcotest.(check int) "no livebits violations" 0
     (List.length
        (Hc_analysis.Livebits.soundness_violations bd.Static.livebits empty));
-  let stray = Trace.get (Generator.generate_sliced ~length:50 p) 0 in
-  Alcotest.(check (option bool)) "any uop is out of the empty window" None
-    (Static.verdict st stray);
+  Alcotest.(check int) "no verdicts" 0 (Array.length st.Static.provable);
   Alcotest.(check bool) "empty trace lints clean" false
     (Lint.has_errors (Lint.check_trace ~file:"empty" empty))
 
@@ -242,8 +233,10 @@ let test_bidir_all_seeds () =
 
 let gcc_trace = lazy (Generator.generate_sliced ~length:6_000 (Profile.find_spec_int "gcc"))
 
+let records tr = Uop_soa.to_uops (Trace.soa tr)
+
 let with_uop tr i u =
-  let uops = Array.copy (Trace.uops tr) in
+  let uops = records tr in
   uops.(i) <- u;
   Trace.make ~name:tr.Trace.name ~profile:tr.Trace.profile uops
 
@@ -251,7 +244,7 @@ let find_uop tr pred =
   let found = ref None in
   Array.iteri
     (fun i u -> if !found = None && pred u then found := Some (i, u))
-    (Trace.uops tr);
+    (records tr);
   match !found with
   | Some iu -> iu
   | None -> Alcotest.fail "fixture uop not found in trace"
@@ -318,7 +311,7 @@ let test_lint_report_cap () =
         if u.Uop.op = Opcode.Load && not u.Uop.dl0_miss then
           { u with Uop.ul1_miss = true }
         else u)
-      (Trace.uops tr)
+      (records tr)
   in
   let diags =
     Lint.check_trace

@@ -5,9 +5,13 @@ module Generator = Hc_trace.Generator
 module Profile = Hc_trace.Profile
 module Trace = Hc_trace.Trace
 module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Semantics = Hc_isa.Semantics
+
+(* the generated uops as records, for structural assertions *)
+let iter_records f t = Array.iter f (Uop_soa.to_uops (Trace.soa t))
 
 let small_trace ?(length = 5_000) name = Generator.generate ~length (Profile.find_spec_int name)
 
@@ -18,7 +22,7 @@ let test_length () =
 
 let test_determinism () =
   let a = small_trace "gzip" and b = small_trace "gzip" in
-  Trace.iter
+  iter_records
     (fun u ->
       let v = Trace.get b u.Uop.id in
       Alcotest.(check bool)
@@ -54,7 +58,7 @@ let test_value_flow_consistency () =
      must carry the value its most recent writer produced *)
   let t = small_trace "crafty" in
   let regs = Array.make Reg.count (-1) in
-  Trace.iter
+  iter_records
     (fun u ->
       List.iter2
         (fun src v ->
@@ -79,7 +83,7 @@ let test_value_flow_consistency () =
 let test_alu_results_evaluate () =
   (* two-source ALU results follow the concrete semantics *)
   let t = small_trace "gap" in
-  Trace.iter
+  iter_records
     (fun u ->
       match u.Uop.op, u.Uop.src_vals with
       | (Opcode.Add | Opcode.Sub | Opcode.And | Opcode.Or | Opcode.Xor), [ a; b ]
@@ -95,7 +99,7 @@ let test_alu_results_evaluate () =
 
 let test_memory_ops_have_addresses () =
   let t = small_trace "mcf" in
-  Trace.iter
+  iter_records
     (fun u ->
       if Opcode.is_memory u.Uop.op then
         Alcotest.(check bool)
@@ -105,7 +109,7 @@ let test_memory_ops_have_addresses () =
 
 let test_miss_flags_only_on_loads () =
   let t = small_trace "mcf" in
-  Trace.iter
+  iter_records
     (fun u ->
       if u.Uop.op <> Opcode.Load then begin
         Alcotest.(check bool) "no dl0 miss" false u.Uop.dl0_miss;
@@ -142,7 +146,7 @@ let test_branch_mispredict_rate () =
   let p = Profile.find_spec_int "vpr" in
   let t = Generator.generate ~length:40_000 p in
   let branches = ref 0 and missed = ref 0 in
-  Trace.iter
+  iter_records
     (fun u ->
       if u.Uop.op = Opcode.Branch_cond then begin
         incr branches;
@@ -163,18 +167,20 @@ let test_carry_sites_are_habitual () =
      static pc, the carry behaviour should be nearly constant *)
   let t = small_trace ~length:20_000 "gzip" in
   let per_site = Hashtbl.create 64 in
-  Trace.iter
-    (fun u ->
+  let soa = Trace.soa t in
+  Array.iteri
+    (fun i (u : Uop.t) ->
       match u.Uop.op, u.Uop.srcs with
-      | Opcode.Load, [ Uop.Reg _; Uop.Imm _ ] when Uop.is_8_32_32 u ->
-        let local = Uop.carry_not_propagated u in
+      | Opcode.Load, [ Uop.Reg _; Uop.Imm _ ]
+        when Uop_soa.is_8_32_32_bits ~bits:8 soa i ->
+        let local = Uop_soa.carry_not_propagated_bits ~bits:8 soa i in
         let hits, total =
           try Hashtbl.find per_site u.Uop.pc with Not_found -> (0, 0)
         in
         Hashtbl.replace per_site u.Uop.pc
           ((if local then hits + 1 else hits), total + 1)
       | _ -> ())
-    t;
+    (Uop_soa.to_uops soa);
   let sites = ref 0 and habitual = ref 0 in
   Hashtbl.iter
     (fun _ (hits, total) ->
@@ -195,7 +201,7 @@ let test_width_locality_supports_prediction () =
   let t = small_trace ~length:20_000 "gap" in
   let last = Hashtbl.create 256 in
   let total = ref 0 and correct = ref 0 in
-  Trace.iter
+  iter_records
     (fun u ->
       if Uop.has_dest u then begin
         let narrow = Hc_isa.Width.is_narrow u.Uop.result in

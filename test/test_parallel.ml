@@ -41,6 +41,39 @@ let test_pool_exception () =
         "pool still works" [| 0; 2; 4 |]
         (Domain_pool.map pool (fun x -> 2 * x) [| 0; 1; 2 |]))
 
+exception Task_failed of int
+
+let failing_task x = if x = 7 then raise (Task_failed x) else x
+
+(* the caller sees the task's own exception with the backtrace of the
+   raise inside the task, not of the pool's re-raise *)
+let test_pool_exception_backtrace () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let pool = Domain_pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain_pool.shutdown pool;
+      Printexc.record_backtrace recording)
+    (fun () ->
+      match Domain_pool.map pool failing_task (Array.init 32 Fun.id) with
+      | _ -> Alcotest.fail "the failing task's exception was swallowed"
+      | exception Task_failed x ->
+        let bt = Printexc.get_raw_backtrace () in
+        Alcotest.(check int) "original exception, payload intact" 7 x;
+        let first_file =
+          match Printexc.backtrace_slots bt with
+          | None -> None
+          | Some slots ->
+            Array.to_list slots
+            |> List.find_map (fun slot ->
+                   Option.map
+                     (fun l -> Filename.basename l.Printexc.filename)
+                     (Printexc.Slot.location slot))
+        in
+        Alcotest.(check (option string)) "backtrace starts at the task's raise"
+          (Some "test_parallel.ml") first_file)
+
 let test_pool_sequential_degenerate () =
   let pool = Domain_pool.create ~jobs:1 in
   Alcotest.(check int) "jobs clamped" 1 (Domain_pool.jobs pool);
@@ -151,6 +184,8 @@ let suite =
     [
       Alcotest.test_case "pool map preserves order" `Quick test_pool_map_order;
       Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
+      Alcotest.test_case "pool keeps the worker's backtrace" `Quick
+        test_pool_exception_backtrace;
       Alcotest.test_case "jobs=1 degenerates to inline" `Quick
         test_pool_sequential_degenerate;
       Alcotest.test_case "4-worker batch == sequential metrics" `Slow

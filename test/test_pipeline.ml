@@ -126,10 +126,12 @@ let test_wpred_outcomes_cover_value_producers () =
   (* every committed value-producing uop is classified at least once;
      resteered uops classify twice, so outcomes >= producers *)
   let producers =
-    Trace.fold
-      (fun acc u ->
-        if Hc_isa.Uop.has_dest u || Hc_isa.Uop.writes_flags u then acc + 1 else acc)
-      0 t
+    let soa = Trace.soa t in
+    let n = ref 0 in
+    for i = 0 to Hc_isa.Uop_soa.length soa - 1 do
+      if Hc_isa.Uop_soa.has_dest soa i || Hc_isa.Uop_soa.writes_flags soa i then incr n
+    done;
+    !n
   in
   Alcotest.(check bool)
     (Printf.sprintf "classifications (%d) cover producers (%d)" outcomes producers)

@@ -1,9 +1,9 @@
-(* The packed SoA trace store: QCheck round-trip of the converters over
-   synthetic uops and generator output, bit-identity of record-backed vs
-   zero-copy SoA-backed simulation on the whole seed suite (fresh decode
-   and artifact-cache warm reload), and the sliced/offset-window
-   regressions mirroring the Static.in_range fix of the bidirectional
-   PR — a slice must rebase its operand columns and preserve uop ids. *)
+(* The packed SoA trace store: QCheck round-trip of the record converters
+   over synthetic uops and generator output, bit-identity of simulation
+   across the ways a trace is built (generated, freshly decoded, reloaded
+   from the artifact cache) on the whole seed suite, and the
+   sliced/offset-window regressions — a slice must rebase its operand
+   columns and preserve uop ids. *)
 
 module Uop = Hc_isa.Uop
 module Uop_soa = Hc_isa.Uop_soa
@@ -74,8 +74,9 @@ let prop_roundtrip_synthetic =
     uops_arb
     (fun a -> Uop_soa.to_uops (Uop_soa.of_uops a) = a)
 
-(* generator output from random seed profiles: both converter directions
-   agree with the trace's own record view *)
+(* generator output from random seed profiles: the one-record
+   materializer agrees with the bulk converter, and repacking the records
+   reproduces the generator's columns exactly *)
 let profile_arb =
   QCheck.make
     ~print:(fun (name, len) -> Printf.sprintf "%s length %d" name len)
@@ -90,8 +91,9 @@ let prop_roundtrip_generated =
     (fun (name, length) ->
       let t = Generator.generate_sliced ~length (Profile.find_spec_int name) in
       let soa = Trace.soa t in
-      Uop_soa.to_uops soa = Trace.uops t
-      && Uop_soa.of_uops (Uop_soa.to_uops soa) = soa)
+      let records = Uop_soa.to_uops soa in
+      Array.for_all Fun.id (Array.mapi (fun i u -> Trace.get t i = u) records)
+      && Uop_soa.of_uops records = soa)
 
 (* ----- simulation bit-identity on the seed suite ----- *)
 
@@ -110,11 +112,10 @@ let rec rm_rf path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
-(* Every seed workload, three trace representations of the same uops:
-   the generator's record-backed trace, a cold zero-copy decode of its
-   HCTB encoding (columns filled straight from the varint stream, no
-   records ever built), and a warm artifact-cache reload from disk. All
-   three must simulate to byte-identical metrics JSON. *)
+(* Every seed workload, three builds of the same uops: the generator's
+   trace, a cold zero-copy decode of its HCTB encoding (columns filled
+   straight from the varint stream), and a warm artifact-cache reload
+   from disk. All three must simulate to byte-identical metrics JSON. *)
 let test_sim_bit_identity () =
   let root = Filename.temp_file "hc_soa_test" "" in
   Sys.remove root;
@@ -155,8 +156,8 @@ let test_sub_rebases_operands () =
     (Uop_soa.to_uops sliced = expect)
 
 let test_sub_preserves_ids () =
-  (* ids are the window-independent key every id-based lookup (the
-     Static.in_range contract) depends on: slicing must keep them *)
+  (* ids identify a uop across windows (diagnostics report them):
+     slicing must keep them *)
   let soa = Trace.soa (Lazy.force base_trace) in
   let pos = 777 and len = 55 in
   let sliced = Uop_soa.sub soa ~pos ~len in
@@ -176,6 +177,15 @@ let test_sub_out_of_range () =
         (fun () -> ignore (Uop_soa.sub soa ~pos ~len)))
     [ (-1, 10); (0, n + 1); (n, 1); (1, -2) ]
 
+let test_mismatched_immediate () =
+  let u =
+    Uop.make ~id:0 ~pc:0 ~op:Opcode.Add ~srcs:[ Uop.Reg Reg.Eax; Uop.Imm 4 ]
+      ~dst:(Some Reg.Eax) ~src_vals:[ 1; 5 ] ()
+  in
+  Alcotest.check_raises "immediate 4 recorded as 5"
+    (Invalid_argument "Uop_soa.add: immediate disagrees with its source value")
+    (fun () -> ignore (Uop_soa.of_uops [| u |]))
+
 (* an offset window simulated from the sliced SoA columns and from a
    freshly re-packed record view must be bit-identical — the sliced
    analogue of the codec identity above *)
@@ -184,7 +194,7 @@ let test_sliced_sim_bit_identity () =
   let sliced = Trace.sub t ~pos:1_000 ~len:800 in
   let repacked =
     Trace.make ~name:sliced.Trace.name ~profile:sliced.Trace.profile
-      (Trace.uops sliced)
+      (Uop_soa.to_uops (Trace.soa sliced))
   in
   Alcotest.(check string) "sliced SoA view simulates identically"
     (sim_json repacked) (sim_json sliced)
@@ -197,19 +207,13 @@ let test_sliced_static_agrees () =
   let sliced = Trace.sub t ~pos:500 ~len:900 in
   let repacked =
     Trace.make ~name:sliced.Trace.name ~profile:sliced.Trace.profile
-      (Trace.uops sliced)
+      (Uop_soa.to_uops (Trace.soa sliced))
   in
-  let count tr =
-    let st = Static.analyze tr in
-    Array.fold_left
-      (fun acc u -> if Static.steerable_uop st u then acc + 1 else acc)
-      0 (Trace.uops tr)
-  in
-  Alcotest.(check int) "steerable count agrees across views" (count repacked)
-    (count sliced);
-  let foreign = (Trace.uops t).(0) in
-  Alcotest.(check bool) "uop before the window is out of range" false
-    (Static.in_range (Static.analyze sliced) foreign)
+  let steerable tr = (Static.analyze tr).Static.steerable in
+  Alcotest.(check bool) "steerable verdicts agree across views" true
+    (steerable repacked = steerable sliced);
+  Alcotest.(check int) "verdicts cover the window, not the base trace" 900
+    (Array.length (steerable sliced))
 
 let suite =
   ( "uop_soa",
@@ -223,6 +227,8 @@ let suite =
       Alcotest.test_case "sub preserves uop ids" `Quick test_sub_preserves_ids;
       Alcotest.test_case "sub rejects out-of-range windows" `Quick
         test_sub_out_of_range;
+      Alcotest.test_case "packing rejects a mismatched immediate" `Quick
+        test_mismatched_immediate;
       Alcotest.test_case "sliced sim bit-identity" `Quick
         test_sliced_sim_bit_identity;
       Alcotest.test_case "sliced static analysis agrees across views" `Quick
