@@ -14,15 +14,6 @@ module Registry = Hc_obs.Registry
 
 open Cmdliner
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Cache root to operate on (default: $(b,HC_CACHE_DIR) or \
-           $(b,_hc_cache)).")
-
 let cache_of cache_dir =
   match Artifact_cache.of_cli cache_dir with
   | Some c -> c
@@ -86,7 +77,7 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"print entry counts and on-disk size")
-    Term.(const run $ cache_dir_arg $ json)
+    Term.(const run $ Cli.cache_dir $ json)
 
 let verify_cmd =
   let run cache_dir fix =
@@ -118,7 +109,7 @@ let verify_cmd =
          "decode every cache entry end to end (CRC + structural decode \
           for traces, parse + byte-exact re-serialization for run \
           metrics); exit 1 if any entry is corrupt")
-    Term.(const run $ cache_dir_arg $ fix)
+    Term.(const run $ Cli.cache_dir $ fix)
 
 let gc_cmd =
   let run cache_dir max_mb =
@@ -150,7 +141,7 @@ let gc_cmd =
   in
   Cmd.v
     (Cmd.info "gc" ~doc:"evict oldest entries until the cache fits a budget")
-    Term.(const run $ cache_dir_arg $ max_mb)
+    Term.(const run $ Cli.cache_dir $ max_mb)
 
 let () =
   let doc = "inspect, verify and garbage-collect the artifact cache" in

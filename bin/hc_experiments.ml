@@ -15,7 +15,6 @@ module Runs = Hc_core.Runs
 module Domain_pool = Hc_core.Domain_pool
 module Artifact_cache = Hc_core.Artifact_cache
 module Telemetry = Hc_core.Telemetry
-module Obs_setup = Hc_core.Obs_setup
 
 open Cmdliner
 
@@ -85,11 +84,8 @@ let export dir length telemetry cache progress =
   List.iter print_endline written
 
 let main list_flag ablations csv_dir length jobs telemetry_dir
-    metrics_interval cache_dir obs span_log prom_out progress_flag ids =
-  let obs_t = Obs_setup.setup ~obs ?span_log ?prom_out () in
-  ( match jobs with
-  | Some n when n > 0 -> Domain_pool.set_jobs n
-  | Some _ | None -> () );
+    metrics_interval cache_dir obs progress_flag ids =
+  Option.iter Domain_pool.set_jobs jobs;
   let telemetry =
     Option.map
       (fun dir -> { Hc_core.Telemetry.dir; interval = metrics_interval })
@@ -110,17 +106,11 @@ let main list_flag ablations csv_dir length jobs telemetry_dir
   ( match progress with
   | Some p -> Telemetry.progress_finish p
   | None -> () );
-  Obs_setup.finish obs_t
+  Cli.finish_obs obs
 
 let cmd =
   let list_flag =
     Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")
-  in
-  let length =
-    Arg.(
-      value
-      & opt int 30_000
-      & info [ "length" ] ~docv:"UOPS" ~doc:"Trace length per benchmark.")
   in
   let ablations =
     Arg.(value & flag & info [ "ablations" ] ~doc:"Run design ablations instead.")
@@ -131,16 +121,6 @@ let cmd =
       & opt (some string) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Write plot-ready CSVs into $(docv).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Simulations to run concurrently (default: $(b,HC_JOBS) or the \
-             recommended domain count). Results are bit-identical at any \
-             setting.")
-  in
   let telemetry_dir =
     Arg.(
       value
@@ -149,53 +129,8 @@ let cmd =
           ~doc:
             "Write per-run telemetry ($(b,<scheme>__<benchmark>)\
              $(b,.intervals.csv) and $(b,.metrics.json)) for every \
-             simulation into $(docv) (created with parents).")
-  in
-  let metrics_interval =
-    Arg.(
-      value & opt int 1_000
-      & info [ "metrics-interval" ] ~docv:"TICKS"
-          ~doc:
-            "Interval sampler period, in fast ticks, for \
-             $(b,--telemetry-dir) runs.")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Artifact-cache root: traces and finished run metrics reload \
-             from (and publish to) $(docv), so a warm rerun of a sweep \
-             skips generation and simulation with bit-identical numbers \
-             (default: $(b,HC_CACHE_DIR) or $(b,_hc_cache); $(b,none) \
-             disables).")
-  in
-  let obs =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:
-            "Enable the process-wide observability layer (metrics registry \
-             + stage-span collector).")
-  in
-  let span_log =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-log" ] ~docv:"FILE"
-          ~doc:
-            "Write recorded stage spans as JSONL to $(docv); implies \
-             observability on.")
-  in
-  let prom_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prom-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the final metrics-registry scrape as Prometheus text \
-             exposition to $(docv); implies observability on.")
+             simulation into $(docv) (created with parents), sampled every \
+             $(b,--metrics-interval) ticks.")
   in
   let progress =
     Arg.(
@@ -211,8 +146,8 @@ let cmd =
   let doc = "reproduce the helper-cluster paper's tables and figures" in
   Cmd.v (Cmd.info "hc_experiments" ~doc)
     Term.(
-      const main $ list_flag $ ablations $ csv_dir $ length $ jobs
-      $ telemetry_dir $ metrics_interval $ cache_dir $ obs $ span_log
-      $ prom_out $ progress $ ids)
+      const main $ list_flag $ ablations $ csv_dir $ Cli.length ~default:30_000
+      $ Cli.jobs $ telemetry_dir $ Cli.metrics_interval ~default:1_000
+      $ Cli.cache_dir $ Cli.obs $ progress $ ids)
 
 let () = exit (Cmd.eval cmd)

@@ -14,10 +14,10 @@
    gates on the baseline diff; usage errors (unknown code, unreadable
    file) exit 3. *)
 
-module Profile = Hc_trace.Profile
-module Trace_io = Hc_trace.Trace_io
-module Codec = Hc_trace.Codec
-module Config = Hc_sim.Config
+module Profile = Hc_trace__Profile
+module Trace_io = Hc_trace__Trace_io
+module Codec = Hc_trace__Codec
+module Config = Hc_sim__Config
 module Lint = Hc_analysis.Lint
 module Artifact_cache = Hc_core.Artifact_cache
 
@@ -99,8 +99,7 @@ let trace_cmd =
 (* ---- seeds: lint every generated seed workload ---- *)
 
 let seeds_cmd =
-  let run length bits cache_dir obs span_log prom_out =
-    let obs_t = Hc_core.Obs_setup.setup ~obs ?span_log ?prom_out () in
+  let run length bits cache_dir obs =
     let cache = Artifact_cache.of_cli cache_dir in
     let all =
       List.map
@@ -114,44 +113,8 @@ let seeds_cmd =
           diags)
         Profile.spec_int
     in
-    Hc_core.Obs_setup.finish obs_t;
+    Cli.finish_obs obs;
     finish all
-  in
-  let length =
-    Arg.(
-      value & opt int 30_000
-      & info [ "length" ] ~docv:"UOPS" ~doc:"Trace length per benchmark.")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Artifact-cache root for the seed traces (default: \
-             $(b,HC_CACHE_DIR) or $(b,_hc_cache); $(b,none) disables).")
-  in
-  let obs =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:"Enable the observability layer (registry + span collector).")
-  in
-  let span_log =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-log" ] ~docv:"FILE"
-          ~doc:"Write recorded stage spans as JSONL to $(docv).")
-  in
-  let prom_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prom-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the final registry scrape as Prometheus text exposition \
-             to $(docv).")
   in
   let doc =
     "generate and verify all 12 SPEC seed workloads (incl. mix drift and \
@@ -159,7 +122,8 @@ let seeds_cmd =
   in
   Cmd.v (Cmd.info "seeds" ~doc)
     Term.(
-      const run $ length $ bits_arg $ cache_dir $ obs $ span_log $ prom_out)
+      const run $ Cli.length ~default:30_000 $ bits_arg $ Cli.cache_dir
+      $ Cli.obs)
 
 (* ---- config: lint the built-in machine configurations ---- *)
 

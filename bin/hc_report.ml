@@ -5,18 +5,22 @@
      hc_report diff BENCH_1.json BENCH_3.json --tol kernels_ns_per_run.=0.30
      hc_report baseline smoke.json        # vs baselines/gcc_smoke.json
      hc_report validate [--jsonl|--prom] FILE...
+     hc_report prom show dump.prom
+     hc_report prom diff before.prom after.prom [--all]
 
    Everything is read from disk through lib/report's dependency-free
-   JSON/CSV loaders — this binary never runs a simulation. diff/baseline
-   exit 1 on any regression and 2 on baseline metrics missing from the
-   candidate, and validate exits 1 on a malformed artifact, so CI can gate
-   on the result. *)
+   JSON/CSV loaders and Hc_obs.Prom's exposition parser — this binary
+   never runs a simulation. diff/baseline exit 1 on any regression and 2
+   on baseline metrics missing from the candidate, validate exits 1 on a
+   malformed artifact and prom show/diff exit 3 on a malformed dump, so CI
+   can gate on the result. *)
 
-module Json = Hc_report.Json
-module Loader = Hc_report.Loader
-module Diff = Hc_report.Diff
-module Render = Hc_report.Render
-module Sparkline = Hc_report.Sparkline
+module Json = Hc_report__Json
+module Loader = Hc_report__Loader
+module Diff = Hc_report__Diff
+module Render = Hc_report__Render
+module Sparkline = Hc_report__Sparkline
+module Prom = Hc_obs.Prom
 
 open Cmdliner
 
@@ -434,11 +438,6 @@ let default_tol_arg =
           "Catch-all relative tolerance (default 0: the simulator is \
            deterministic, so exact match is the expectation).")
 
-let all_arg =
-  Arg.(
-    value & flag
-    & info [ "all" ] ~doc:"List every compared metric, not just failures.")
-
 let run_diff ~base_path ~cand_path tols default_tol all =
   let base = load_or_die base_path in
   let cand = load_or_die cand_path in
@@ -462,7 +461,7 @@ let diff_cmd =
     "compare two runs; exit 1 on regression, 2 on missing metrics"
   in
   Cmd.v (Cmd.info "diff" ~doc)
-    Term.(const run $ base $ cand $ tols_arg $ default_tol_arg $ all_arg)
+    Term.(const run $ base $ cand $ tols_arg $ default_tol_arg $ Cli.all)
 
 let baseline_cmd =
   let run cand baseline tols default_tol all =
@@ -482,7 +481,106 @@ let baseline_cmd =
   in
   let doc = "diff a run against the committed baseline (CI gate)" in
   Cmd.v (Cmd.info "baseline" ~doc)
-    Term.(const run $ cand $ baseline $ tols_arg $ default_tol_arg $ all_arg)
+    Term.(const run $ cand $ baseline $ tols_arg $ default_tol_arg $ Cli.all)
+(* ---- prom: registry dumps ---- *)
+
+(* Read back the Prometheus text exposition --prom-out (or bench --json's
+   registry section) wrote. Both subcommands run the strict exposition
+   parser, so they double as format validators: a malformed dump exits 3
+   with the offending line. `diff` prints one row per series present in
+   either dump (sorted) with the numeric delta — what a workload added to
+   each counter between two scrapes of the same process. *)
+
+let load_prom path =
+  match Prom.of_file path with
+  | Ok entries -> entries
+  | Error e -> die "hc_report prom: %s: %s" path e
+
+(* stable series key: name plus labels sorted by label name *)
+let series_key (e : Prom.entry) =
+  let labels =
+    List.sort compare e.Prom.e_labels
+    |> List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v)
+    |> String.concat ","
+  in
+  if labels = "" then e.Prom.e_name
+  else Printf.sprintf "%s{%s}" e.Prom.e_name labels
+
+let series_value v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%g" v
+
+let prom_show_cmd =
+  let run path =
+    let rows =
+      List.sort compare
+        (List.map (fun e -> (series_key e, e.Prom.e_value)) (load_prom path))
+    in
+    List.iter
+      (fun (k, v) -> Printf.printf "%-60s %s\n" k (series_value v))
+      rows;
+    Printf.printf "%d series in %s\n" (List.length rows) path
+  in
+  let path =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"DUMP.prom")
+  in
+  Cmd.v
+    (Cmd.info "show"
+       ~doc:"validate a registry dump and print its series, sorted")
+    Term.(const run $ path)
+
+let prom_diff_cmd =
+  let run base_path new_path all =
+    let index entries =
+      let tbl = Hashtbl.create 64 in
+      List.iter
+        (fun e -> Hashtbl.replace tbl (series_key e) e.Prom.e_value)
+        entries;
+      tbl
+    in
+    let base = index (load_prom base_path) in
+    let cand = index (load_prom new_path) in
+    let keys =
+      List.sort_uniq compare
+        (Hashtbl.fold (fun k _ acc -> k :: acc) base []
+        @ Hashtbl.fold (fun k _ acc -> k :: acc) cand [])
+    in
+    Printf.printf "base: %s\nnew:  %s\n" base_path new_path;
+    Printf.printf "%-60s %14s %14s %14s\n" "series" "base" "new" "delta";
+    let changed = ref 0 in
+    List.iter
+      (fun k ->
+        match (Hashtbl.find_opt base k, Hashtbl.find_opt cand k) with
+        | Some b, Some n ->
+          if b <> n || all then begin
+            if b <> n then incr changed;
+            Printf.printf "%-60s %14s %14s %+14g\n" k (series_value b)
+              (series_value n) (n -. b)
+          end
+        | None, Some n ->
+          incr changed;
+          Printf.printf "%-60s %14s %14s %14s\n" k "-" (series_value n) "new"
+        | Some b, None ->
+          incr changed;
+          Printf.printf "%-60s %14s %14s %14s\n" k (series_value b) "-" "gone"
+        | None, None -> ())
+      keys;
+    Printf.printf "%d of %d series changed\n" !changed (List.length keys)
+  in
+  let base =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE.prom")
+  in
+  let cand =
+    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW.prom")
+  in
+  Cmd.v
+    (Cmd.info "diff" ~doc:"per-series delta between two registry dumps")
+    Term.(const run $ base $ cand $ Cli.all)
+
+let prom_cmd =
+  let doc = "read, validate and diff metrics-registry dumps (exit 3 if malformed)" in
+  Cmd.group (Cmd.info "prom" ~doc) [ prom_show_cmd; prom_diff_cmd ]
+
 (* ---- validate ---- *)
 
 (* Strict well-formedness gate for artifacts, on the parsers the readers
@@ -515,7 +613,7 @@ let validate_cmd =
     go 0 (lines s)
   in
   let check_prom s =
-    match Hc_obs.Prom.parse s with
+    match Prom.parse s with
     | Ok [] -> Error "EMPTY exposition (no samples)"
     | Ok entries ->
       Ok (Printf.sprintf "valid exposition (%d samples)" (List.length entries))
@@ -552,4 +650,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ report_cmd; attrib_cmd; topdown_cmd; trend_cmd; spans_cmd;
-            diff_cmd; baseline_cmd; validate_cmd ]))
+            diff_cmd; baseline_cmd; validate_cmd; prom_cmd ]))

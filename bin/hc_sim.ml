@@ -1,53 +1,27 @@
 (* Command-line front door to the simulator: run one workload under one
    steering scheme and print the metrics (optionally with the energy
-   breakdown and/or telemetry artifacts).
+   breakdown and/or telemetry artifacts). The workload is a generated
+   SPEC personality, or a saved text/binary trace with --file.
 
      hc_sim --benchmark gcc --scheme +CR
      hc_sim --benchmark mcf --scheme baseline --length 100000 --power
      hc_sim --benchmark gcc --scheme +IR --trace-out t.json \
-            --metrics-interval 1000            # Perfetto trace + time series *)
+            --metrics-interval 1000            # Perfetto trace + time series
+     hc_sim --file gcc.hct --scheme +CR        # a saved trace *)
 
-module Profile = Hc_trace.Profile
-module Config = Hc_sim.Config
-module Pipeline = Hc_sim.Pipeline
-module Metrics = Hc_sim.Metrics
-module Accounting = Hc_sim.Accounting
-module Registry = Hc_obs.Registry
+module Config = Hc_sim__Config
+module Pipeline = Hc_sim__Pipeline
+module Metrics = Hc_sim__Metrics
+module Accounting = Hc_sim__Accounting
+module Trace_io = Hc_trace__Trace_io
+module Codec = Hc_trace__Codec
 module Model = Hc_power.Model
 module Domain_pool = Hc_core.Domain_pool
-module Export = Hc_core.Export
 module Artifact_cache = Hc_core.Artifact_cache
-module Sink = Hc_obs.Sink
-module Sample = Hc_obs.Sample
-module Chrome_trace = Hc_obs.Chrome_trace
-module Obs_setup = Hc_core.Obs_setup
 
 open Cmdliner
 
 let scheme_names = List.map fst Hc_steering.Policy.stack @ [ "ics05" ]
-
-(* the interval series must re-add to exactly the end-of-run metrics;
-   checked here so the CLI surfaces a telemetry bug immediately *)
-let totals_match (a : Sample.totals) (m : Metrics.t) =
-  a.Sample.committed = m.Metrics.committed
-  && a.Sample.steered_narrow = m.Metrics.steered_narrow
-  && a.Sample.copies = m.Metrics.copies
-  && a.Sample.split_uops = m.Metrics.split_uops
-  && a.Sample.steered_888 = m.Metrics.steered_888
-  && a.Sample.steered_br = m.Metrics.steered_br
-  && a.Sample.steered_cr = m.Metrics.steered_cr
-  && a.Sample.steered_ir = m.Metrics.steered_ir
-  && a.Sample.steered_other = m.Metrics.steered_other
-  && a.Sample.wide_default = m.Metrics.wide_default
-  && a.Sample.wide_demoted = m.Metrics.wide_demoted
-  && a.Sample.wpred_correct = m.Metrics.wpred_correct
-  && a.Sample.wpred_fatal = m.Metrics.wpred_fatal
-  && a.Sample.wpred_nonfatal = m.Metrics.wpred_nonfatal
-  && a.Sample.prefetch_copies = m.Metrics.prefetch_copies
-  && a.Sample.prefetch_useful = m.Metrics.prefetch_useful
-  && a.Sample.nready_w2n = m.Metrics.nready_w2n
-  && a.Sample.nready_n2w = m.Metrics.nready_n2w
-  && a.Sample.issued_total = m.Metrics.issued_total
 
 (* per-lane top-down table: slot counts and % shares for every category,
    plus the partition check (sum == width x rounds, exact) *)
@@ -76,39 +50,20 @@ let print_topdown (s : Accounting.totals) =
   Format.printf "@.partition invariant: %s@."
     (if Accounting.consistent s then "exact" else "VIOLATED")
 
-(* NREADY per-interval histograms for the ambient registry (same series
-   Runs records during campaigns), so --prom-out scrapes include them *)
-let obs_nready samples =
-  Registry.with_ambient (fun r ->
-      let w2n =
-        Registry.histogram r
-          ~help:"Per-interval NREADY wide-to-narrow imbalance samples"
-          "hc_nready_w2n_per_interval"
-      and n2w =
-        Registry.histogram r
-          ~help:"Per-interval NREADY narrow-to-wide imbalance samples"
-          "hc_nready_n2w_per_interval"
-      in
-      List.iter
-        (fun (s : Sample.t) ->
-          Registry.observe w2n s.Sample.d.Sample.nready_w2n;
-          Registry.observe n2w s.Sample.d.Sample.nready_n2w)
-        samples)
-
-let run benchmark scheme length power compare_baseline jobs trace_out
-    metrics_interval interval_out trace_buffer metrics_out cache_dir obs
-    span_log prom_out topdown stall_out =
-  let obs_t = Obs_setup.setup ~obs ?span_log ?prom_out () in
-  ( match jobs with
-  | Some n when n > 0 -> Domain_pool.set_jobs n
-  | Some _ | None -> () );
-  let profile =
-    try Profile.find_spec_int benchmark
-    with Not_found ->
-      Printf.eprintf "unknown benchmark %S; known: %s\n" benchmark
-        (String.concat ", " Profile.spec_int_names);
-      exit 1
+(* a saved trace that does not load is a usage error, not a crash *)
+let load_trace path =
+  let fail msg =
+    prerr_endline ("hc_sim: " ^ msg);
+    exit 1
   in
+  try Trace_io.load path with
+  | Sys_error msg -> fail msg
+  | Failure msg -> fail (path ^ ": " ^ msg)
+  | Codec.Corrupt reason -> fail (path ^ ": corrupt binary trace: " ^ reason)
+
+let run benchmark file scheme length power compare_baseline jobs telemetry
+    cache_dir obs topdown stall_out =
+  Option.iter Domain_pool.set_jobs jobs;
   let cfg =
     if scheme = "ics05" then Config.ics05
     else
@@ -120,16 +75,13 @@ let run benchmark scheme length power compare_baseline jobs trace_out
         exit 1
   in
   let trace =
-    Artifact_cache.trace_or_generate (Artifact_cache.of_cli cache_dir) ~profile
-      ~length
+    match file with
+    | Some path -> load_trace path
+    | None ->
+      Artifact_cache.trace_or_generate (Artifact_cache.of_cli cache_dir)
+        ~profile:(Cli.profile_of benchmark) ~length
   in
-  let sink =
-    if trace_out <> None || metrics_interval > 0 then
-      Some
-        (Sink.create ~ring_capacity:trace_buffer ~interval:metrics_interval
-           ~tracing:(trace_out <> None) ())
-    else None
-  in
+  let sink = Cli.sink telemetry in
   let accounting =
     if topdown || stall_out <> None then
       Some
@@ -159,11 +111,7 @@ let run benchmark scheme length power compare_baseline jobs trace_out
   Format.printf "%a@." Metrics.pp m;
   assert (Metrics.attrib_consistent m);
   assert (Metrics.stall_consistent m);
-  ( match metrics_out with
-  | Some path ->
-    Format.printf "metrics: wrote %s@."
-      (Export.write_metrics_json ~path m)
-  | None -> () );
+  Cli.write_artifacts telemetry sink m;
   ( match runs with
   | [ _; base ] ->
     Format.printf "speedup over baseline: %.2f%%@."
@@ -172,37 +120,6 @@ let run benchmark scheme length power compare_baseline jobs trace_out
       (Model.ed2_improvement_pct ~narrow_bits:cfg.Config.narrow_bits
          ~baseline:base m)
   | _ -> () );
-  ( match sink with
-  | None -> ()
-  | Some sink ->
-    ( match trace_out with
-    | Some path ->
-      let written =
-        Chrome_trace.write
-          ~ring:(Sink.events_pushed sink, Sink.events_dropped sink)
-          ~stage_spans:(Obs_setup.spans ()) ~path ~events:(Sink.events sink)
-          ~samples:(Sink.samples sink) ()
-      in
-      Format.printf "trace: wrote %s (%s)@." written (Sink.summary sink)
-    | None -> () );
-    ( match Sink.dropped_warning sink with
-    | Some w -> Printf.eprintf "%s\n%!" w
-    | None -> () );
-    if Sink.interval sink > 0 then begin
-      let path =
-        match interval_out, trace_out with
-        | Some p, _ -> p
-        | None, Some t -> Filename.remove_extension t ^ ".intervals.csv"
-        | None, None -> "intervals.csv"
-      in
-      let samples = Sink.samples sink in
-      let written = Export.write_intervals_csv ~path samples in
-      Format.printf
-        "intervals: wrote %s (%d samples of %d ticks; aggregate %s final \
-         metrics)@."
-        written (List.length samples) (Sink.interval sink)
-        (if totals_match (Sample.aggregate samples) m then "==" else "<> (BUG)")
-    end );
   ( match accounting with
   | None -> ()
   | Some a ->
@@ -224,12 +141,6 @@ let run benchmark scheme length power compare_baseline jobs trace_out
       Format.printf "stall intervals: wrote %s (%d intervals)@." written
         (List.length ivals)
     | None -> () ) );
-  ( match sink with
-  | Some sink ->
-    (* same per-interval NREADY distributions Runs records in campaigns;
-       with_ambient is a no-op unless --obs/--prom-out enabled it *)
-    obs_nready (Sink.samples sink)
-  | None -> () );
   if power then begin
     let report = Model.estimate ~narrow_bits:cfg.Config.narrow_bits m in
     Format.printf "@.energy: %.0f units@." report.Model.total;
@@ -237,31 +148,18 @@ let run benchmark scheme length power compare_baseline jobs trace_out
       (fun (name, e) -> Format.printf "  %-20s %12.0f@." name e)
       report.Model.breakdown
   end;
-  if obs then begin
-    Printf.eprintf "-- stage spans --\n";
-    List.iter (fun l -> Printf.eprintf "%s\n" l) (Obs_setup.stage_lines ());
-    Printf.eprintf "%!"
-  end;
-  Obs_setup.finish obs_t
+  Cli.finish_obs obs
 
 let cmd =
-  let benchmark =
+  let file =
     Arg.(
-      value & opt string "gcc"
-      & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc:"SPEC Int 2000 benchmark name.")
-  in
-  let scheme =
-    Arg.(
-      value & opt string "+IR"
-      & info [ "s"; "scheme" ] ~docv:"SCHEME"
+      value
+      & opt (some string) None
+      & info [ "f"; "file" ] ~docv:"PATH"
           ~doc:
-            "Steering scheme (baseline, 8_8_8, +BR, +LR, +CR, +CP, +IR, \
-             +IR(nodest), or ics05 for the section-4 comparator).")
-  in
-  let length =
-    Arg.(
-      value & opt int 30_000
-      & info [ "length" ] ~docv:"UOPS" ~doc:"Trace length in uops.")
+            "Simulate a saved trace (text or binary; see $(b,hc_trace \
+             generate)) instead of generating one. $(b,--benchmark), \
+             $(b,--length) and $(b,--cache-dir) are then ignored.")
   in
   let power =
     Arg.(value & flag & info [ "power" ] ~doc:"Print the energy breakdown.")
@@ -270,93 +168,6 @@ let cmd =
     Arg.(
       value & opt bool true
       & info [ "compare" ] ~docv:"BOOL" ~doc:"Also run the monolithic baseline.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Simulations to run concurrently (default: $(b,HC_JOBS)).")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Record per-uop pipeline events and write a Chrome trace-event \
-             JSON (load in Perfetto or chrome://tracing) to $(docv).")
-  in
-  let metrics_interval =
-    Arg.(
-      value & opt int 0
-      & info [ "metrics-interval" ] ~docv:"TICKS"
-          ~doc:
-            "Sample the interval metrics time series every $(docv) fast \
-             ticks (0 disables). Column sums equal the final metrics.")
-  in
-  let interval_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "interval-out" ] ~docv:"FILE"
-          ~doc:
-            "Where to write the interval CSV (default: derived from \
-             $(b,--trace-out), else $(b,intervals.csv)).")
-  in
-  let trace_buffer =
-    Arg.(
-      value & opt int 65_536
-      & info [ "trace-buffer" ] ~docv:"EVENTS"
-          ~doc:
-            "Event ring capacity; older events are overwritten once full.")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the scheme run's full metrics as JSON (schema 2, the \
-             format $(b,hc_report) reads and diffs) to $(docv).")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Artifact-cache root: the workload trace is reloaded from its \
-             binary cache entry when present and published there after a \
-             cold generation (default: $(b,HC_CACHE_DIR) or \
-             $(b,_hc_cache); the value $(b,none) disables caching).")
-  in
-  let obs =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:
-            "Enable the process-wide observability layer (metrics registry \
-             + stage-span collector) and print the per-stage aggregate to \
-             stderr on exit. Off, the untraced hot path is bit-identical.")
-  in
-  let span_log =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-log" ] ~docv:"FILE"
-          ~doc:
-            "Write every recorded stage span as JSONL (one strict-JSON \
-             object per line) to $(docv); implies observability on.")
-  in
-  let prom_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prom-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the final metrics-registry scrape as Prometheus text \
-             exposition to $(docv); implies observability on.")
   in
   let topdown =
     Arg.(
@@ -382,9 +193,8 @@ let cmd =
   let doc = "cycle-level helper-cluster simulator" in
   Cmd.v (Cmd.info "hc_sim" ~doc)
     Term.(
-      const run $ benchmark $ scheme $ length $ power $ compare_baseline $ jobs
-      $ trace_out $ metrics_interval $ interval_out $ trace_buffer
-      $ metrics_out $ cache_dir $ obs $ span_log $ prom_out $ topdown
-      $ stall_out)
+      const run $ Cli.benchmark $ file $ Cli.scheme $ Cli.length ~default:30_000
+      $ power $ compare_baseline $ Cli.jobs $ Cli.telemetry $ Cli.cache_dir
+      $ Cli.obs $ topdown $ stall_out)
 
 let () = exit (Cmd.eval cmd)

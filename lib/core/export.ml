@@ -9,12 +9,6 @@ let csv_line fields =
   in
   String.concat "," (List.map quote fields)
 
-let write_file = Telemetry.write_file
-
-let write_intervals_csv = Telemetry.write_intervals_csv
-let write_intervals_json = Telemetry.write_intervals_json
-let write_metrics_json = Telemetry.write_metrics_json
-
 let f2 = Printf.sprintf "%.2f"
 
 let schemes = [ "8_8_8"; "+BR"; "+LR"; "+CR"; "+CP"; "+IR"; "+IR(nodest)" ]
@@ -24,33 +18,33 @@ let write_all runs ~dir =
   let path name = Filename.concat dir name in
   let meta =
     let m = Meta.capture () in
-    write_file (path "meta.json")
+    Telemetry.write_file (path "meta.json")
       [ Printf.sprintf "{%s,\"trace_length\":%d}" (Meta.to_json_fields m)
           (Runs.length runs) ]
   in
   let fig1 =
-    write_file (path "fig1.csv")
+    Telemetry.write_file (path "fig1.csv")
       (csv_line [ "benchmark"; "narrow_dependent_pct" ]
       :: List.map
            (fun (b, v) -> csv_line [ b; f2 v ])
            (Experiments.fig1_rows runs))
   in
   let fig5 =
-    write_file (path "fig5.csv")
+    Telemetry.write_file (path "fig5.csv")
       (csv_line [ "benchmark"; "correct_pct"; "fatal_pct"; "nonfatal_pct" ]
       :: List.map
            (fun (b, c, f, nf) -> csv_line [ b; f2 c; f2 f; f2 nf ])
            (Experiments.fig5_rows runs))
   in
   let fig6 =
-    write_file (path "fig6.csv")
+    Telemetry.write_file (path "fig6.csv")
       (csv_line [ "benchmark"; "speedup_pct" ]
       :: List.map
            (fun (b, v) -> csv_line [ b; f2 v ])
            (Experiments.fig6_rows runs))
   in
   let fig7 =
-    write_file (path "fig7.csv")
+    Telemetry.write_file (path "fig7.csv")
       (csv_line [ "benchmark"; "steered_pct"; "copies_pct" ]
       :: List.map
            (fun (b, s, c) -> csv_line [ b; f2 s; f2 c ])
@@ -63,7 +57,7 @@ let write_all runs ~dir =
         [ "8_8_8"; "+BR"; "+LR" ]
     in
     let benchmarks = List.map fst (snd (List.hd series)) in
-    write_file (path "fig8_9.csv")
+    Telemetry.write_file (path "fig8_9.csv")
       (csv_line ("benchmark" :: List.map fst series)
       :: List.map
            (fun b ->
@@ -75,21 +69,21 @@ let write_all runs ~dir =
            benchmarks)
   in
   let fig11 =
-    write_file (path "fig11.csv")
+    Telemetry.write_file (path "fig11.csv")
       (csv_line [ "benchmark"; "arith_pct"; "load_pct" ]
       :: List.map
            (fun (b, a, l) -> csv_line [ b; f2 a; f2 l ])
            (Experiments.fig11_rows runs))
   in
   let fig12 =
-    write_file (path "fig12.csv")
+    Telemetry.write_file (path "fig12.csv")
       (csv_line [ "benchmark"; "s888_speedup_pct"; "cr_speedup_pct" ]
       :: List.map
            (fun (b, a, c) -> csv_line [ b; f2 a; f2 c ])
            (Experiments.fig12_rows runs))
   in
   let fig13 =
-    write_file (path "fig13.csv")
+    Telemetry.write_file (path "fig13.csv")
       (csv_line [ "benchmark"; "mean_distance_uops" ]
       :: List.map
            (fun (b, v) -> csv_line [ b; f2 v ])
@@ -116,12 +110,12 @@ let write_all runs ~dir =
               f2 (mean Metrics.copy_pct); f2 (mean Metrics.wpred_fatal_pct) ])
         schemes
     in
-    write_file (path "stack.csv")
+    Telemetry.write_file (path "stack.csv")
       (csv_line [ "scheme"; "speedup_pct"; "steered_pct"; "copies_pct"; "fatal_pct" ]
       :: rows)
   in
   let fig14 =
-    write_file (path "fig14.csv")
+    Telemetry.write_file (path "fig14.csv")
       (csv_line [ "category"; "speedup_pct" ]
       :: List.map
            (fun (c, v) -> csv_line [ c; f2 v ])

@@ -113,7 +113,7 @@ let obs_run (m : Metrics.t) =
         m.Metrics.ticks)
 
 (* Per-interval NREADY imbalance histograms: one observation per sampled
-   interval, so a scrape (hc_metrics show / --prom-out) carries the
+   interval, so a scrape (hc_report prom show / --prom-out) carries the
    distribution of the paper's §3.7 imbalance signal, not just its total. *)
 let obs_nready samples =
   Registry.with_ambient (fun r ->

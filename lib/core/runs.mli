@@ -103,3 +103,9 @@ val resolve_policy :
 
 val spec_profiles : Hc_trace.Profile.t list
 (** The 12 SPEC Int 2000 profiles, in paper order. *)
+
+val obs_nready : Hc_obs.Sample.t list -> unit
+(** Observe each interval's NREADY imbalance counts into the ambient
+    registry's [hc_nready_w2n_per_interval] / [hc_nready_n2w_per_interval]
+    histograms (what every telemetry run records); a no-op when the
+    registry is off. *)

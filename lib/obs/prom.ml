@@ -1,5 +1,5 @@
 (* Prometheus text exposition (version 0.0.4) for Registry scrapes, plus
-   the parser hc_metrics uses to diff two dumps. Histograms expose the
+   the parser hc_report prom uses to diff two dumps. Histograms expose the
    standard cumulative _bucket/_sum/_count triple with power-of-two "le"
    edges (the registry's log2 buckets). *)
 
@@ -92,7 +92,7 @@ let write ~path samples =
     (fun () -> output_string oc (to_string samples));
   path
 
-(* ----- parser (for hc_metrics show/diff and hc_report validate) ----- *)
+(* ----- parser (for hc_report prom show/diff and hc_report validate) ----- *)
 
 type entry = {
   e_name : string;

@@ -10,7 +10,7 @@ val to_string : Registry.sample list -> string
 val write : path:string -> Registry.sample list -> string
 (** Returns [path]. *)
 
-(** {2 Parsing} (for [hc_metrics show]/[diff] and validation) *)
+(** {2 Parsing} (for [hc_report prom show]/[diff] and validation) *)
 
 type entry = {
   e_name : string;  (** includes histogram suffixes like [_bucket] *)

@@ -81,6 +81,29 @@ let attrib_consistent t =
 let stall_consistent t =
   match t.stall with None -> true | Some s -> Accounting.consistent s
 
+let totals t =
+  {
+    Hc_obs.Sample.committed = t.committed;
+    steered_narrow = t.steered_narrow;
+    copies = t.copies;
+    split_uops = t.split_uops;
+    steered_888 = t.steered_888;
+    steered_br = t.steered_br;
+    steered_cr = t.steered_cr;
+    steered_ir = t.steered_ir;
+    steered_other = t.steered_other;
+    wide_default = t.wide_default;
+    wide_demoted = t.wide_demoted;
+    wpred_correct = t.wpred_correct;
+    wpred_fatal = t.wpred_fatal;
+    wpred_nonfatal = t.wpred_nonfatal;
+    prefetch_copies = t.prefetch_copies;
+    prefetch_useful = t.prefetch_useful;
+    nready_w2n = t.nready_w2n;
+    nready_n2w = t.nready_n2w;
+    issued_total = t.issued_total;
+  }
+
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter

@@ -108,6 +108,10 @@ val stall_consistent : t -> bool
     ({!Accounting.consistent}); [true] vacuously when accounting was
     off. *)
 
+val totals : t -> Hc_obs.Sample.totals
+(** The run's dynamic counters as one interval-sampler snapshot: what
+    {!Hc_obs.Sample.aggregate} of a whole-run series must equal. *)
+
 val to_json : t -> string
 (** The whole record as one JSON object — every dynamic count, the
     derived IPC/cycles, and the raw activity counters keyed by name.

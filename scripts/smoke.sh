@@ -180,6 +180,20 @@ if dune exec bin/hc_lint.exe -- trace "$SMOKE_DIR/lint_cut.hct" \
   exit 1
 fi
 grep -q E108 "$SMOKE_DIR/lint_cut.out"
+# Simulating the saved trace (hc_sim --file) must give exactly the
+# metrics of generating the same workload in-process (0-tolerance diff),
+# and a truncated trace must be refused, not replaced by a generated one.
+dune exec bin/hc_sim.exe -- --file "$SMOKE_DIR/lint_gcc.hct" --compare false \
+  --metrics-out "$SMOKE_DIR/file_gcc.json" > /dev/null
+dune exec bin/hc_sim.exe -- --benchmark gcc --length 6000 --compare false \
+  --metrics-out "$SMOKE_DIR/gen_gcc.json" > /dev/null
+dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/gen_gcc.json" \
+  "$SMOKE_DIR/file_gcc.json"
+if dune exec bin/hc_sim.exe -- --file "$SMOKE_DIR/lint_cut.hct" \
+    > /dev/null 2>&1; then
+  echo "FAIL: hc_sim --file accepted a truncated binary trace"
+  exit 1
+fi
 echo "binary trace gate OK"
 
 echo "== observability gate =="
@@ -187,15 +201,15 @@ echo "== observability gate =="
 # stderr table, --span-log structured JSONL, --prom-out registry dump.
 # Both sidecars must pass the strict validators (hc_report validate
 # --jsonl / --prom) AND the real readers (hc_report spans re-parses
-# every line; hc_metrics show re-parses the exposition) — then both
-# validators must provably trip on a corrupted file.
+# every line; hc_report prom show re-parses the exposition) — then
+# every reader must provably trip on a corrupted file.
 dune exec bin/hc_sim.exe -- --benchmark gzip --scheme 8_8_8 --length 4000 \
   --compare false --obs --span-log "$SMOKE_DIR/obs_spans.jsonl" \
   --prom-out "$SMOKE_DIR/obs_sim.prom" > /dev/null
 dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_spans.jsonl"
 dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_sim.prom"
 dune exec bin/hc_report.exe -- spans "$SMOKE_DIR/obs_spans.jsonl"
-dune exec bin/hc_metrics.exe -- show "$SMOKE_DIR/obs_sim.prom" > /dev/null
+dune exec bin/hc_report.exe -- prom show "$SMOKE_DIR/obs_sim.prom" > /dev/null
 # a traced sweep with the live progress line, then a per-series diff of
 # the two registry dumps (also re-validates both expositions)
 dune exec bin/hc_experiments.exe -- fig6 --length 3000 --progress \
@@ -203,7 +217,7 @@ dune exec bin/hc_experiments.exe -- fig6 --length 3000 --progress \
   --prom-out "$SMOKE_DIR/obs_fig6.prom" > /dev/null
 dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_fig6.jsonl"
 dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_fig6.prom"
-dune exec bin/hc_metrics.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
+dune exec bin/hc_report.exe -- prom diff "$SMOKE_DIR/obs_sim.prom" \
   "$SMOKE_DIR/obs_fig6.prom"
 # ...and prove both gates can fail: a span line truncated mid-object and
 # an exposition sample with an illegal metric name must be rejected
@@ -218,6 +232,11 @@ fi
 if dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_bad.prom" \
     > /dev/null 2>&1; then
   echo "FAIL: --prom accepted a malformed exposition line"
+  exit 1
+fi
+if dune exec bin/hc_report.exe -- prom show "$SMOKE_DIR/obs_bad.prom" \
+    > /dev/null 2>&1; then
+  echo "FAIL: hc_report prom show accepted a malformed exposition line"
   exit 1
 fi
 echo "observability gate OK"

@@ -10,7 +10,7 @@ module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
 module Meta = Hc_core.Meta
-module Export = Hc_core.Export
+module Telemetry = Hc_core.Telemetry
 module Sink = Hc_obs.Sink
 module Sample = Hc_obs.Sample
 module Chrome_trace = Hc_obs.Chrome_trace
@@ -183,7 +183,7 @@ let test_csv_roundtrip () =
   let sink = Sink.create ~interval:250 ~tracing:false () in
   let m = run ~sink "+IR" (Config.find_scheme "+IR") in
   let path = tmp "hc_test_intervals.csv" in
-  let _ = Export.write_intervals_csv ~path (Sink.samples sink) in
+  let _ = Telemetry.write_intervals_csv ~path (Sink.samples sink) in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
