@@ -39,7 +39,6 @@ module Trace_io = Hc_trace.Trace_io
 module Codec = Hc_trace.Codec
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
-module Accounting = Hc_sim.Accounting
 module Static = Hc_analysis.Static
 module Width_predictor = Hc_predictors.Width_predictor
 module Registry = Hc_obs.Registry
@@ -244,17 +243,14 @@ let tests =
                 ~profile:(Profile.find_spec_int "gcc")
                 (Lazy.force bench_encoded))));
     (* accounting overhead guard pair: same trace, same scheme, with and
-       without the cycle-accounting accumulator. Off must price only the
+       without an accounting probe. Off must price only the
        field-test guard (compare against acct:sim-on and ir:sim-IR). *)
     stage "acct:sim-off" (sim_kernel "+IR");
     stage "acct:sim-on" (fun () ->
         let cfg = Config.with_scheme Config.default (Config.find_scheme "+IR") in
-        let a =
-          Accounting.create ~issue_width:cfg.Config.issue_width
-            ~commit_width:cfg.Config.commit_width ()
-        in
+        let probe = Hc_obs.Probe.create ~accounting:true ~tracing:false () in
         ignore
-          (Pipeline.run ~accounting:a ~cfg ~decide:Hc_steering.Policy.decide
+          (Pipeline.run ~probe ~cfg ~decide:Hc_steering.Policy.decide
              ~scheme_name:"+IR" (Lazy.force sim_trace)));
     stage "cache:warm-reload" (fun () ->
         match

@@ -4,11 +4,12 @@
    every tool that takes it: the same name, default convention,
    validation and side effects. The groups:
 
-     workload    -b/--benchmark, --length, -s/--scheme, --cache-dir
+     workload    -b/--benchmark, --length, -s/--scheme, --cache-dir, and
+                 the saved-trace loader behind every -f/--file
      engine      -j/--jobs (a positive count; 0 or less is a usage error)
      obs         --obs, --span-log, --prom-out and the finish step
      telemetry   --trace-out, --metrics-interval, --interval-out,
-                 --trace-buffer, --metrics-out: the per-run sink and the
+                 --trace-buffer, --metrics-out: the per-run probe and the
                  Chrome-trace / interval-CSV / metrics-JSON writers
      listing     --all *)
 
@@ -16,11 +17,13 @@ module Registry = Hc_obs.Registry
 module Span = Hc_obs.Span
 module Log = Hc_obs.Log
 module Prom = Hc_obs.Prom
-module Sink = Hc_obs.Sink
+module Probe = Hc_obs.Probe
 module Sample = Hc_obs.Sample
 module Chrome_trace = Hc_obs.Chrome_trace
 module Metrics = Hc_sim__Metrics
 module Profile = Hc_trace__Profile
+module Trace_io = Hc_trace__Trace_io
+module Codec = Hc_trace__Codec
 module Telemetry = Hc_core.Telemetry
 
 open Cmdliner
@@ -40,6 +43,18 @@ let profile_of name =
     Printf.eprintf "unknown benchmark %S; known: %s\n" name
       (String.concat ", " Profile.spec_int_names);
     exit 1
+
+(* a saved trace that does not load is a usage error (exit 1 with the
+   reason), not a crash *)
+let load_trace ~tool path =
+  let fail msg =
+    prerr_endline (tool ^ ": " ^ msg);
+    exit 1
+  in
+  try Trace_io.load path with
+  | Sys_error msg -> fail msg
+  | Failure msg -> fail (path ^ ": " ^ msg)
+  | Codec.Corrupt reason -> fail (path ^ ": corrupt binary trace: " ^ reason)
 
 let length ~default =
   Arg.(
@@ -227,41 +242,43 @@ let telemetry =
     const make $ trace_out $ metrics_interval ~default:0 $ interval_out
     $ trace_buffer $ metrics_out)
 
-(* the sink to attach to the observed run, if any telemetry asks for one *)
-let sink t =
-  if t.trace_out <> None || t.interval > 0 then
+let wants_telemetry t = t.trace_out <> None || t.interval > 0
+
+(* the probe to attach to the observed run, if telemetry or [accounting]
+   asks for one *)
+let probe t ~accounting =
+  if wants_telemetry t || accounting then
     Some
-      (Sink.create ~ring_capacity:t.trace_buffer ~interval:t.interval
-         ~tracing:(t.trace_out <> None) ())
+      (Probe.create ~ring_capacity:t.trace_buffer ~interval:t.interval
+         ~accounting ~tracing:(t.trace_out <> None) ())
   else None
 
 (* Write the observed run's artifacts and report each path on stdout.
    The interval series must re-add to exactly the end-of-run metrics;
    the line says so, so a telemetry bug surfaces immediately. *)
-let write_artifacts t sink (m : Metrics.t) =
+let write_artifacts t probe (m : Metrics.t) =
   Option.iter
     (fun path ->
       Format.printf "metrics: wrote %s@." (Telemetry.write_metrics_json ~path m))
     t.metrics_out;
-  match sink with
-  | None -> ()
-  | Some sink ->
-    let samples = Sink.samples sink in
+  match probe with
+  | Some p when wants_telemetry t ->
+    let samples = Probe.samples p in
     Option.iter
       (fun path ->
         let written =
           Chrome_trace.write
-            ~ring:(Sink.events_pushed sink, Sink.events_dropped sink)
-            ~stage_spans:(spans ()) ~path ~events:(Sink.events sink) ~samples
+            ~ring:(Probe.events_pushed p, Probe.events_dropped p)
+            ~stage_spans:(spans ()) ~path ~events:(Probe.events p) ~samples
             ()
         in
-        Format.printf "trace: wrote %s (%s)@." written (Sink.summary sink))
+        Format.printf "trace: wrote %s (%s)@." written (Probe.summary p))
       t.trace_out;
-    Option.iter (fun w -> Printf.eprintf "%s\n%!" w) (Sink.dropped_warning sink);
+    Option.iter (fun w -> Printf.eprintf "%s\n%!" w) (Probe.dropped_warning p);
     if t.interval > 0 then begin
       let path =
         match t.interval_out, t.trace_out with
-        | Some p, _ -> p
+        | Some path, _ -> path
         | None, Some tr -> Filename.remove_extension tr ^ ".intervals.csv"
         | None, None -> "intervals.csv"
       in
@@ -276,6 +293,7 @@ let write_artifacts t sink (m : Metrics.t) =
     (* the per-interval NREADY distributions campaigns record; a no-op
        unless observability is on *)
     Hc_core.Runs.obs_nready samples
+  | _ -> ()
 
 (* ---- listings ---- *)
 

@@ -12,9 +12,7 @@
 module Config = Hc_sim__Config
 module Pipeline = Hc_sim__Pipeline
 module Metrics = Hc_sim__Metrics
-module Accounting = Hc_sim__Accounting
-module Trace_io = Hc_trace__Trace_io
-module Codec = Hc_trace__Codec
+module Accounting = Hc_obs.Accounting
 module Model = Hc_power.Model
 module Domain_pool = Hc_core.Domain_pool
 module Artifact_cache = Hc_core.Artifact_cache
@@ -50,17 +48,6 @@ let print_topdown (s : Accounting.totals) =
   Format.printf "@.partition invariant: %s@."
     (if Accounting.consistent s then "exact" else "VIOLATED")
 
-(* a saved trace that does not load is a usage error, not a crash *)
-let load_trace path =
-  let fail msg =
-    prerr_endline ("hc_sim: " ^ msg);
-    exit 1
-  in
-  try Trace_io.load path with
-  | Sys_error msg -> fail msg
-  | Failure msg -> fail (path ^ ": " ^ msg)
-  | Codec.Corrupt reason -> fail (path ^ ": corrupt binary trace: " ^ reason)
-
 let run benchmark file scheme length power compare_baseline jobs telemetry
     cache_dir obs topdown stall_out =
   Option.iter Domain_pool.set_jobs jobs;
@@ -76,34 +63,28 @@ let run benchmark file scheme length power compare_baseline jobs telemetry
   in
   let trace =
     match file with
-    | Some path -> load_trace path
+    | Some path -> Cli.load_trace ~tool:"hc_sim" path
     | None ->
       Artifact_cache.trace_or_generate (Artifact_cache.of_cli cache_dir)
         ~profile:(Cli.profile_of benchmark) ~length
   in
-  let sink = Cli.sink telemetry in
-  let accounting =
-    if topdown || stall_out <> None then
-      Some
-        (Accounting.create ~issue_width:cfg.Config.issue_width
-           ~commit_width:cfg.Config.commit_width ())
-    else None
-  in
+  let accounting = topdown || stall_out <> None in
+  let probe = Cli.probe telemetry ~accounting in
   let with_base = compare_baseline && scheme <> "baseline" in
   (* the scheme run and its baseline comparator are independent pipeline
      states over the same read-only trace: run them on the pool. Only the
      scheme run is observed — the baseline exists for the speedup line. *)
   let runs =
     let cfgs =
-      (cfg, scheme, sink, accounting)
+      (cfg, scheme, probe)
       ::
       (if with_base then
-         [ (Config.with_scheme cfg Config.monolithic, "baseline", None, None) ]
+         [ (Config.with_scheme cfg Config.monolithic, "baseline", None) ]
        else [])
     in
     Domain_pool.map_list (Domain_pool.get ())
-      (fun (cfg, scheme_name, sink, accounting) ->
-        Pipeline.run ?sink ?accounting ~cfg ~decide:Hc_steering.Policy.decide
+      (fun (cfg, scheme_name, probe) ->
+        Pipeline.run ?probe ~cfg ~decide:Hc_steering.Policy.decide
           ~scheme_name trace)
       cfgs
   in
@@ -111,7 +92,7 @@ let run benchmark file scheme length power compare_baseline jobs telemetry
   Format.printf "%a@." Metrics.pp m;
   assert (Metrics.attrib_consistent m);
   assert (Metrics.stall_consistent m);
-  Cli.write_artifacts telemetry sink m;
+  Cli.write_artifacts telemetry probe m;
   ( match runs with
   | [ _; base ] ->
     Format.printf "speedup over baseline: %.2f%%@."
@@ -120,17 +101,16 @@ let run benchmark file scheme length power compare_baseline jobs telemetry
       (Model.ed2_improvement_pct ~narrow_bits:cfg.Config.narrow_bits
          ~baseline:base m)
   | _ -> () );
-  ( match accounting with
-  | None -> ()
-  | Some a ->
-    let ivals = Accounting.intervals a in
+  ( match probe, m.Metrics.stall with
+  | Some p, Some totals ->
+    let ivals = Hc_obs.Probe.stall_intervals p in
     (* every interval delta must itself satisfy the partition, not just
        the run total — a compensating error would hide in the sum *)
     List.iter
       (fun (iv : Accounting.interval) ->
         assert (Accounting.consistent iv.Accounting.iv_d))
       ivals;
-    if topdown then print_topdown (Accounting.totals a);
+    if topdown then print_topdown totals;
     ( match stall_out with
     | Some path ->
       let written =
@@ -140,7 +120,8 @@ let run benchmark file scheme length power compare_baseline jobs telemetry
       in
       Format.printf "stall intervals: wrote %s (%d intervals)@." written
         (List.length ivals)
-    | None -> () ) );
+    | None -> () )
+  | _ -> () );
   if power then begin
     let report = Model.estimate ~narrow_bits:cfg.Config.narrow_bits m in
     Format.printf "@.energy: %.0f units@." report.Model.total;

@@ -36,14 +36,14 @@ let generate benchmark length out format cache_dir =
   Printf.printf "wrote %s (%d uops)\n" out (Trace.length trace)
 
 let dump file head =
-  let trace = Trace_io.load file in
+  let trace = Cli.load_trace ~tool:"hc_trace" file in
   let n = min head (Trace.length trace) in
   for i = 0 to n - 1 do
     Format.printf "%a@." Hc_isa.Uop.pp (Trace.get trace i)
   done
 
 let stats file =
-  let trace = Trace_io.load file in
+  let trace = Cli.load_trace ~tool:"hc_trace" file in
   Format.printf "%a@." Trace.pp_summary trace;
   let mix = Analysis.operand_mix trace in
   Printf.printf "narrow-dependent ALU operands: %.1f%%\n"

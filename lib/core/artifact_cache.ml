@@ -188,7 +188,7 @@ let trace_or_generate cache ~profile ~length =
    reconstruction is exact; the caller double-checks by re-serializing. *)
 
 let stall_of_json j =
-  let module Acc = Hc_sim.Accounting in
+  let module Acc = Hc_obs.Accounting in
   let lane_obj name =
     match Json.member name j with
     | Some (Json.Object _ as o) -> o

@@ -438,7 +438,7 @@ let related runs =
 
 (* ----- bottleneck: where do the cycles go, policy by policy ----- *)
 
-module Accounting = Hc_sim.Accounting
+module Accounting = Hc_obs.Accounting
 
 let bottleneck_schemes =
   [ "baseline"; "8_8_8"; "+BR"; "+CR"; "+IR"; "static_888"; "static_bidir" ]
@@ -466,12 +466,9 @@ let bottleneck runs =
   let results =
     Domain_pool.map_list (Domain_pool.get ())
       (fun (scheme, cfg, decide, tr) ->
-        let a =
-          Accounting.create ~issue_width:cfg.Config.issue_width
-            ~commit_width:cfg.Config.commit_width ()
-        in
-        ignore (Pipeline.run ~accounting:a ~cfg ~decide ~scheme_name:scheme tr);
-        (scheme, Accounting.totals a))
+        let probe = Hc_obs.Probe.create ~accounting:true ~tracing:false () in
+        let m = Pipeline.run ~probe ~cfg ~decide ~scheme_name:scheme tr in
+        (scheme, Option.get m.Metrics.stall))
       cells
   in
   (* the partition must be exact on every single run before any share is

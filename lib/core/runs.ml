@@ -93,7 +93,7 @@ let resolve_policy ~(static : Hc_analysis.Static.bidir) ~scheme =
    carries the trace's static steering bound in its metrics, so exported
    JSON and the attribution tables can show predictor results next to the
    provable headroom. With telemetry configured, the run gets an
-   interval-sampling sink and leaves its time series and metrics JSON
+   interval-sampling probe and leaves its time series and metrics JSON
    behind in the telemetry directory; observation never changes the
    returned metrics (bit-identical, see test_obs.ml), so the memo tables
    stay oblivious to whether a run was observed. Workers write distinct
@@ -151,17 +151,17 @@ let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =
     match telemetry with
     | None -> attach (Pipeline.run ~cfg ~decide ~scheme_name:scheme tr)
     | Some { Telemetry.dir; interval } ->
-      let sink = Hc_obs.Sink.create ~interval ~tracing:false () in
-      let m = attach (Pipeline.run ~sink ~cfg ~decide ~scheme_name:scheme tr) in
+      let probe = Hc_obs.Probe.create ~interval ~tracing:false () in
+      let m = attach (Pipeline.run ~probe ~cfg ~decide ~scheme_name:scheme tr) in
       let base =
         Filename.concat dir
           (Telemetry.run_basename ~scheme ~name:tr.Trace.name)
       in
       ignore
         (Telemetry.write_intervals_csv ~path:(base ^ ".intervals.csv")
-           (Hc_obs.Sink.samples sink));
+           (Hc_obs.Probe.samples probe));
       ignore (Telemetry.write_metrics_json ~path:(base ^ ".metrics.json") m);
-      obs_nready (Hc_obs.Sink.samples sink);
+      obs_nready (Hc_obs.Probe.samples probe);
       m
   in
   obs_run m;

@@ -97,8 +97,8 @@ val resolve_policy :
     ["static_bidir"] pseudo-schemes — the 8_8_8 machine steered by
     {!Hc_steering.Policy.static_oracle} over the forward (respectively
     bidirectional) proof in [static]. For callers that drive
-    {!Hc_sim.Pipeline.run} directly (e.g. accounting-enabled experiment
-    fan-outs that must not pollute the metrics memo/cache).
+    {!Hc_sim.Pipeline.run} directly (e.g. experiment fan-outs that attach
+    an accounting probe and must not pollute the metrics memo/cache).
     @raise Not_found for an unknown scheme name. *)
 
 val spec_profiles : Hc_trace.Profile.t list

@@ -6,8 +6,9 @@
 
    holds exactly (no tolerance) — the same partition discipline as the
    steering-attribution counters. The classification itself lives in
-   [Pipeline] (it needs the node internals); this module owns the
-   counters, the interval snapshots and the invariant. *)
+   [Pipeline] (it needs the node internals), the live counters in
+   [Probe]; this module owns the taxonomy, the totals, the invariant and
+   the serialized forms. *)
 
 type category =
   | Issued  (* the slot did useful work (issued a uop / committed one) *)
@@ -78,32 +79,21 @@ let zero_totals ~issue_width ~commit_width =
     rounds = Array.make nlanes 0;
   }
 
-let copy_totals t =
+(* one binary operation applied count by count; widths from [a] *)
+let map2 f a b =
   {
-    t with
-    slots = Array.map Array.copy t.slots;
-    rounds = Array.copy t.rounds;
-  }
-
-let add_totals a b =
-  {
-    issue_width = a.issue_width;
-    commit_width = a.commit_width;
+    a with
     slots =
       Array.init nlanes (fun l ->
-          Array.init ncat (fun c -> a.slots.(l).(c) + b.slots.(l).(c)));
-    rounds = Array.init nlanes (fun l -> a.rounds.(l) + b.rounds.(l));
+          Array.init ncat (fun c -> f a.slots.(l).(c) b.slots.(l).(c)));
+    rounds = Array.init nlanes (fun l -> f a.rounds.(l) b.rounds.(l));
   }
 
-let sub_totals a b =
-  {
-    issue_width = a.issue_width;
-    commit_width = a.commit_width;
-    slots =
-      Array.init nlanes (fun l ->
-          Array.init ncat (fun c -> a.slots.(l).(c) - b.slots.(l).(c)));
-    rounds = Array.init nlanes (fun l -> a.rounds.(l) - b.rounds.(l));
-  }
+let copy_totals t = map2 (fun x _ -> x) t t
+
+let add_totals = map2 ( + )
+
+let sub_totals = map2 ( - )
 
 let lane_sum t lane = Array.fold_left ( + ) 0 t.slots.(lane)
 
@@ -120,36 +110,8 @@ let share_pct t ~lane cat =
   if total = 0 then 0.
   else 100. *. float_of_int (get t ~lane cat) /. float_of_int total
 
-(* ----- live accumulator ----- *)
-
+(* one closed interval of the stall time series (see [Probe]) *)
 type interval = { iv_start : int; iv_end : int; iv_d : totals }
-
-type t = {
-  cur : totals;
-  mutable ivals : interval list;  (* newest first *)
-  mutable last_tick : int;
-  mutable last : totals;  (* snapshot at the previous interval boundary *)
-}
-
-let create ~issue_width ~commit_width () =
-  let z = zero_totals ~issue_width ~commit_width in
-  { cur = z; ivals = []; last_tick = 0; last = copy_totals z }
-
-let add t ~lane cat n = t.cur.slots.(lane).(cat_index cat) <- t.cur.slots.(lane).(cat_index cat) + n
-
-let round t ~lane = t.cur.rounds.(lane) <- t.cur.rounds.(lane) + 1
-
-let totals t = copy_totals t.cur
-
-let snapshot t ~tick =
-  if tick > t.last_tick then begin
-    let d = sub_totals t.cur t.last in
-    t.ivals <- { iv_start = t.last_tick; iv_end = tick; iv_d = d } :: t.ivals;
-    t.last_tick <- tick;
-    t.last <- copy_totals t.cur
-  end
-
-let intervals t = List.rev t.ivals
 
 (* ----- interval CSV (stall time series for hc_report topdown) ----- *)
 

@@ -7,9 +7,9 @@
 
     holds exactly — the same no-tolerance partition discipline as the
     steering-attribution counters. The classification of blocked slots
-    lives in {!Pipeline} (it needs the node internals); this module owns
-    the counters, the interval snapshots, the invariant check and the
-    serialized forms. *)
+    lives in the simulator's pipeline (it needs the node internals) and
+    the live counters in {!Probe}; this module owns the taxonomy, the
+    totals, the invariant check and the serialized forms. *)
 
 (** One slot, one owner. *)
 type category =
@@ -57,27 +57,9 @@ val consistent : totals -> bool
 (** The partition invariant, exact per lane (holds for interval deltas
     too, by linearity). *)
 
-(** Live accumulator, owned by one pipeline run. *)
-type t
-
-val create : issue_width:int -> commit_width:int -> unit -> t
-
-val add : t -> lane:int -> category -> int -> unit
-val round : t -> lane:int -> unit
-(** Close one stage round: bumps the lane's round count. The pipeline
-    calls {!add} for exactly [width] slots per round. *)
-
-val totals : t -> totals
-
 type interval = { iv_start : int; iv_end : int; iv_d : totals }
-
-val snapshot : t -> tick:int -> unit
-(** Close the open interval at [tick] (no-op unless the tick advanced),
-    storing the delta against the previous snapshot — driven by the same
-    cadence as [Sink.sample] so stall intervals align with the metrics
-    time series. *)
-
-val intervals : t -> interval list  (** chronological *)
+(** One closed interval of the stall time series: the slot delta from
+    tick [iv_start] to tick [iv_end]. {!Probe} records them. *)
 
 val csv_header : string
 val interval_csv_row : interval -> string

@@ -2,7 +2,7 @@
 
     One flat record per event, pushed into a {!Ring} by the pipeline's
     instrumentation points. The record is int-heavy on purpose: building
-    one allocates a single small block, and only when a tracing sink is
+    one allocates a single small block, and only when a tracing probe is
     attached — the hot path with tracing off never constructs events. *)
 
 type kind =

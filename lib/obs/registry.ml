@@ -240,7 +240,7 @@ let reset t =
 
 (* ----- the ambient process registry ----- *)
 
-(* Same discipline as the pipeline's [Sink.t option]: disabled means
+(* Same discipline as the pipeline's [Probe.t option]: disabled means
    every instrumentation point is one atomic load and a match on [None].
    Observability never changes behavior, only records it. *)
 

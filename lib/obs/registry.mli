@@ -8,10 +8,10 @@
     recorded events the merged totals are identical no matter how the
     recording domains interleaved (proven by [test/test_registry.ml]).
 
-    A process-wide {e ambient} registry follows the [Sink.t option]
-    discipline: {!ambient} is [None] until a front-end opts in with
-    {!enable}, and every instrumentation point in the tree guards itself
-    with one atomic load — disabled observability costs nothing and
+    A process-wide {e ambient} registry follows the pipeline's
+    [Probe.t option] discipline: {!ambient} is [None] until a front-end
+    opts in with {!enable}, and every instrumentation point in the tree
+    guards itself with one atomic load — disabled observability costs nothing and
     changes nothing. *)
 
 type t

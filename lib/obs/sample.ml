@@ -30,51 +30,33 @@ let zero_totals =
     nready_w2n = 0; nready_n2w = 0; issued_total = 0;
   }
 
-let sub_totals a b =
+(* one binary operation applied column by column *)
+let map2 f a b =
   {
-    committed = a.committed - b.committed;
-    steered_narrow = a.steered_narrow - b.steered_narrow;
-    copies = a.copies - b.copies;
-    split_uops = a.split_uops - b.split_uops;
-    steered_888 = a.steered_888 - b.steered_888;
-    steered_br = a.steered_br - b.steered_br;
-    steered_cr = a.steered_cr - b.steered_cr;
-    steered_ir = a.steered_ir - b.steered_ir;
-    steered_other = a.steered_other - b.steered_other;
-    wide_default = a.wide_default - b.wide_default;
-    wide_demoted = a.wide_demoted - b.wide_demoted;
-    wpred_correct = a.wpred_correct - b.wpred_correct;
-    wpred_fatal = a.wpred_fatal - b.wpred_fatal;
-    wpred_nonfatal = a.wpred_nonfatal - b.wpred_nonfatal;
-    prefetch_copies = a.prefetch_copies - b.prefetch_copies;
-    prefetch_useful = a.prefetch_useful - b.prefetch_useful;
-    nready_w2n = a.nready_w2n - b.nready_w2n;
-    nready_n2w = a.nready_n2w - b.nready_n2w;
-    issued_total = a.issued_total - b.issued_total;
+    committed = f a.committed b.committed;
+    steered_narrow = f a.steered_narrow b.steered_narrow;
+    copies = f a.copies b.copies;
+    split_uops = f a.split_uops b.split_uops;
+    steered_888 = f a.steered_888 b.steered_888;
+    steered_br = f a.steered_br b.steered_br;
+    steered_cr = f a.steered_cr b.steered_cr;
+    steered_ir = f a.steered_ir b.steered_ir;
+    steered_other = f a.steered_other b.steered_other;
+    wide_default = f a.wide_default b.wide_default;
+    wide_demoted = f a.wide_demoted b.wide_demoted;
+    wpred_correct = f a.wpred_correct b.wpred_correct;
+    wpred_fatal = f a.wpred_fatal b.wpred_fatal;
+    wpred_nonfatal = f a.wpred_nonfatal b.wpred_nonfatal;
+    prefetch_copies = f a.prefetch_copies b.prefetch_copies;
+    prefetch_useful = f a.prefetch_useful b.prefetch_useful;
+    nready_w2n = f a.nready_w2n b.nready_w2n;
+    nready_n2w = f a.nready_n2w b.nready_n2w;
+    issued_total = f a.issued_total b.issued_total;
   }
 
-let add_totals a b =
-  {
-    committed = a.committed + b.committed;
-    steered_narrow = a.steered_narrow + b.steered_narrow;
-    copies = a.copies + b.copies;
-    split_uops = a.split_uops + b.split_uops;
-    steered_888 = a.steered_888 + b.steered_888;
-    steered_br = a.steered_br + b.steered_br;
-    steered_cr = a.steered_cr + b.steered_cr;
-    steered_ir = a.steered_ir + b.steered_ir;
-    steered_other = a.steered_other + b.steered_other;
-    wide_default = a.wide_default + b.wide_default;
-    wide_demoted = a.wide_demoted + b.wide_demoted;
-    wpred_correct = a.wpred_correct + b.wpred_correct;
-    wpred_fatal = a.wpred_fatal + b.wpred_fatal;
-    wpred_nonfatal = a.wpred_nonfatal + b.wpred_nonfatal;
-    prefetch_copies = a.prefetch_copies + b.prefetch_copies;
-    prefetch_useful = a.prefetch_useful + b.prefetch_useful;
-    nready_w2n = a.nready_w2n + b.nready_w2n;
-    nready_n2w = a.nready_n2w + b.nready_n2w;
-    issued_total = a.issued_total + b.issued_total;
-  }
+let sub_totals = map2 ( - )
+
+let add_totals = map2 ( + )
 
 let attrib_consistent d =
   d.steered_888 + d.steered_br + d.steered_cr + d.steered_ir + d.steered_other

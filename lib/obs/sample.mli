@@ -1,7 +1,7 @@
 (** Interval metrics samples.
 
     Every N ticks the pipeline snapshots its cumulative result counters;
-    the sink turns consecutive snapshots into per-interval deltas, so a
+    the {!Probe} turns consecutive snapshots into per-interval deltas, so a
     run becomes a time series (program phases, predictor warm-up, copy
     bursts) whose column sums reproduce the end-of-run
     [Hc_sim.Metrics.t] exactly. *)

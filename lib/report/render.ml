@@ -119,7 +119,7 @@ let attrib_consistent j =
 
 (* ----- top-down stall attribution (schema-4 "stall" object) ----- *)
 
-(* Category and lane names mirror Hc_sim.Accounting; this library is
+(* Category and lane names mirror Hc_obs.Accounting; this library is
    dependency-free so the JSON schema is the contract, not the module. *)
 let stall_categories =
   [ "issued"; "frontend"; "dispatch"; "wait_operands"; "wait_copy"; "memory";

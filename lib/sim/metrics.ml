@@ -23,7 +23,7 @@ type t = {
   issued_total : int;
   static_narrow_bound : int option;
   static_bidir_bound : int option;
-  stall : Accounting.totals option;
+  stall : Hc_obs.Accounting.totals option;
   counters : Hc_stats.Counter.t;
 }
 
@@ -73,13 +73,8 @@ let wide_demoted_pct t = pct_of_committed t t.wide_demoted
 let attrib_narrow_sum t =
   t.steered_888 + t.steered_br + t.steered_cr + t.steered_ir + t.steered_other
 
-let attrib_consistent t =
-  attrib_narrow_sum t = t.steered_narrow
-  && t.steered_ir = t.split_uops
-  && t.wide_default + t.wide_demoted = t.committed - t.steered_narrow
-
 let stall_consistent t =
-  match t.stall with None -> true | Some s -> Accounting.consistent s
+  match t.stall with None -> true | Some s -> Hc_obs.Accounting.consistent s
 
 let totals t =
   {
@@ -103,6 +98,8 @@ let totals t =
     nready_n2w = t.nready_n2w;
     issued_total = t.issued_total;
   }
+
+let attrib_consistent t = Hc_obs.Sample.attrib_consistent (totals t)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -154,7 +151,7 @@ let to_json t =
   | Some b -> p "\"static_bidir_bound\":%d," b
   | None -> () );
   ( match t.stall with
-  | Some s -> p "\"stall\":%s," (Accounting.json_fragment s)
+  | Some s -> p "\"stall\":%s," (Hc_obs.Accounting.json_fragment s)
   | None -> () );
   p "\"counters\":{";
   let names = Hc_stats.Counter.names t.counters in

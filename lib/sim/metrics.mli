@@ -50,10 +50,11 @@ type t = {
           known-bits joined with backward live-bits. Always [>=]
           [static_narrow_bound] when both are present; attached by
           [Hc_core.Runs] like the forward bound. *)
-  stall : Accounting.totals option;
+  stall : Hc_obs.Accounting.totals option;
       (** top-down cycle-accounting totals, present only when the run was
-          simulated with [Pipeline.run ~accounting]; the partition
-          invariant ({!Accounting.consistent}) holds exactly. *)
+          simulated with an accounting probe ([Pipeline.run ~probe]); the
+          partition invariant ({!Hc_obs.Accounting.consistent}) holds
+          exactly. *)
   counters : Hc_stats.Counter.t;  (** raw activity counters for the power model *)
 }
 
@@ -105,7 +106,7 @@ val attrib_consistent : t -> bool
 
 val stall_consistent : t -> bool
 (** The cycle-accounting partition invariant on [stall]
-    ({!Accounting.consistent}); [true] vacuously when accounting was
+    ({!Hc_obs.Accounting.consistent}); [true] vacuously when accounting was
     off. *)
 
 val totals : t -> Hc_obs.Sample.totals

@@ -3,10 +3,11 @@
    packed SoA columns, in-flight state lives in per-domain scratch arenas
    (value/node pools, intrusive issue queues, a ring-buffer ROB, an event
    wheel) reused across runs, and options/tuples/closures are replaced by
-   sentinels and int codes. Accounting and event-sink paths may allocate;
-   they are guarded off the untraced run. The bench's --alloc-gate checks
-   the marginal minor-words-per-uop of an untraced run stays zero, warm
-   and on the first run after a codec decode. *)
+   sentinels and int codes. Probe paths (events, interval samples, slot
+   accounting) may allocate; they are guarded off the unobserved run.
+   The bench's --alloc-gate checks the marginal minor-words-per-uop of an
+   untraced run stays zero, warm and on the first run after a codec
+   decode. *)
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Uop_soa = Hc_isa.Uop_soa
@@ -18,7 +19,8 @@ module Bundle = Hc_predictors.Bundle
 module Width_predictor = Hc_predictors.Width_predictor
 module Carry_predictor = Hc_predictors.Carry_predictor
 module Copy_predictor = Hc_predictors.Copy_predictor
-module Sink = Hc_obs.Sink
+module Probe = Hc_obs.Probe
+module Accounting = Hc_obs.Accounting
 module Event = Hc_obs.Event
 module Sample = Hc_obs.Sample
 
@@ -404,12 +406,10 @@ type state = {
   decide : decide;
   preds : Bundle.t;
   counters : Counter.t;
-  sink : Sink.t option;
-      (* telemetry; [None] keeps every instrumentation point a single
-         field test and the hot path allocation-free *)
-  acct : Accounting.t option;
-      (* cycle accounting; [None] keeps the attribution walk behind one
-         field test per issue round, same discipline as [sink] *)
+  probe : Probe.t option;
+      (* observation; [None] keeps every hook (lifecycle event, stage
+         round, interval boundary, run end) a single field test and the
+         hot path allocation-free *)
   sc : scratch;
   mutable steer_ctx : Steer.ctx option;  (* built once, after [create] *)
   lat3 : int * int * int;  (* (dl0, ul1, mem) for the cache hierarchy *)
@@ -601,11 +601,12 @@ let schedule st node tick =
   slot.ev_gens.(slot.ev_len) <- node.n_gen;
   slot.ev_len <- slot.ev_len + 1
 
-(* ----- telemetry instrumentation points -----
+(* ----- probe hooks -----
 
-   Every site is guarded by the sink option: with tracing off nothing is
-   allocated and nothing beyond the [match] executes, so enabling the
-   sink can never change simulated behavior - only record it. *)
+   Every hook is guarded by the probe option, tested inline here: with no
+   probe nothing is allocated and nothing beyond the [match] executes, so
+   attaching a probe can never change simulated behavior - only record
+   it. *)
 
 let node_event_name (node : node) =
   if node.n_kind = k_copy then "copy"
@@ -614,11 +615,11 @@ let node_event_name (node : node) =
   else "?"
 
 let emit st kind (node : node) ~a ~b =
-  match st.sink with
+  match st.probe with
   | None -> ()
-  | Some sink ->
-    if Sink.tracing sink then
-      Sink.emit sink
+  | Some p ->
+    if Probe.tracing p then
+      Probe.emit p
         { Event.tick = st.now; kind; id = node.n_id;
           trace_idx = node.n_trace_idx;
           cluster = cluster_index node.n_cluster;
@@ -647,8 +648,8 @@ let current_totals st =
     issued_total = st.issued_total;
   }
 
-let take_sample st sink =
-  Sink.sample sink ~tick:st.now ~iq_wide:st.iq.(0).iq_len
+let probe_boundary st p =
+  Probe.boundary p ~tick:st.now ~iq_wide:st.iq.(0).iq_len
     ~iq_narrow:st.iq.(1).iq_len ~rob:st.rob_count (current_totals st)
 
 (* ----- latency model ----- *)
@@ -738,7 +739,7 @@ let get_ctx st =
 
 (* ----- creation ----- *)
 
-let create ?sink ?accounting cfg decide trace =
+let create ?probe cfg decide trace =
   ( match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
@@ -748,9 +749,8 @@ let create ?sink ?accounting cfg decide trace =
   let soa = Trace.soa trace in
   let st =
     {
-      cfg; trace; decide; sink; soa;
+      cfg; trace; decide; probe; soa;
       trace_len = Uop_soa.length soa;
-      acct = accounting;
       sc;
       steer_ctx = None;
       lat3 = (cfg.Config.dl0_latency, cfg.Config.ul1_latency, cfg.Config.mem_latency);
@@ -842,6 +842,11 @@ let create ?sink ?accounting cfg decide trace =
         backlog_ewma_gt = backlog_ewma_gt st;
         rob_occupancy_lt = rob_occupancy_lt st;
       };
+  ( match probe with
+  | None -> ()
+  | Some p ->
+    Probe.start p ~issue_width:cfg.Config.issue_width
+      ~commit_width:cfg.Config.commit_width );
   st
 
 (* ----- dispatch helpers ----- *)
@@ -1355,66 +1360,71 @@ let empty_reason st ~narrow =
    is claimed first by blocked queue occupants (memory, then copy, then
    operands), and any slots beyond the occupant count by the
    empty-stage reason. Adds exactly [issue_width] slots and one round,
-   so the partition invariant holds by construction. *)
-let account_issue_round st a cluster ~issued =
-  let lane = cluster_index cluster in
-  let width = st.cfg.Config.issue_width in
-  if issued > 0 then Accounting.add a ~lane Accounting.Issued issued;
-  let idle = width - issued in
-  if idle > 0 then begin
-    (* after the issue walk the queue holds only blocked occupants:
-       issued, squashed and dead-copy nodes were unlinked, and idle > 0
-       means no ready node was left waiting for a slot *)
-    let mem = ref 0 and cop = ref 0 and opr = ref 0 in
-    let q = st.iq.(lane) in
-    let s = q.iq_sent in
-    let cur = ref s.n_next in
-    while !cur != s do
-      let node = !cur in
-      ( match blocked_reason st cluster node with
-      | Accounting.Memory -> incr mem
-      | Accounting.Wait_copy -> incr cop
-      | _ -> incr opr );
-      cur := node.n_next
-    done;
-    let left = ref idle in
-    let take counter cat =
-      let n = min !left counter in
-      if n > 0 then begin
-        Accounting.add a ~lane cat n;
-        left := !left - n
-      end
-    in
-    take !mem Accounting.Memory;
-    take !cop Accounting.Wait_copy;
-    take !opr Accounting.Wait_operands;
-    if !left > 0 then
-      Accounting.add a ~lane
-        (empty_reason st ~narrow:(cluster = Config.Narrow))
-        !left
-  end;
-  Accounting.round a ~lane
+   so the partition invariant holds by construction. A probe without
+   accounting records nothing here. *)
+let account_issue_round st p cluster ~issued =
+  if Probe.accounting p then begin
+    let lane = cluster_index cluster in
+    let width = st.cfg.Config.issue_width in
+    if issued > 0 then Probe.add p ~lane Accounting.Issued issued;
+    let idle = width - issued in
+    if idle > 0 then begin
+      (* after the issue walk the queue holds only blocked occupants:
+         issued, squashed and dead-copy nodes were unlinked, and idle > 0
+         means no ready node was left waiting for a slot *)
+      let mem = ref 0 and cop = ref 0 and opr = ref 0 in
+      let q = st.iq.(lane) in
+      let s = q.iq_sent in
+      let cur = ref s.n_next in
+      while !cur != s do
+        let node = !cur in
+        ( match blocked_reason st cluster node with
+        | Accounting.Memory -> incr mem
+        | Accounting.Wait_copy -> incr cop
+        | _ -> incr opr );
+        cur := node.n_next
+      done;
+      let left = ref idle in
+      let take counter cat =
+        let n = min !left counter in
+        if n > 0 then begin
+          Probe.add p ~lane cat n;
+          left := !left - n
+        end
+      in
+      take !mem Accounting.Memory;
+      take !cop Accounting.Wait_copy;
+      take !opr Accounting.Wait_operands;
+      if !left > 0 then
+        Probe.add p ~lane
+          (empty_reason st ~narrow:(cluster = Config.Narrow))
+          !left
+    end;
+    Probe.round p ~lane
+  end
 
 (* One commit round: [committed] slots retired; idle slots are all
    blamed on the ROB head (it blocks everything younger), or on the
    empty-stage reason when the ROB is empty. *)
-let account_commit_round st a ~committed =
-  let lane = Accounting.lane_commit in
-  if committed > 0 then Accounting.add a ~lane Accounting.Issued committed;
-  let idle = st.cfg.Config.commit_width - committed in
-  if idle > 0 then begin
-    let cat =
-      if st.rob_count = 0 then empty_reason st ~narrow:false
-      else begin
-        let head = rob_peek st in
-        if not head.n_issued then blocked_reason st head.n_cluster head
-        else if head.n_is_mem then Accounting.Memory
-        else Accounting.Wait_operands
-      end
-    in
-    Accounting.add a ~lane cat idle
-  end;
-  Accounting.round a ~lane
+let account_commit_round st p ~committed =
+  if Probe.accounting p then begin
+    let lane = Accounting.lane_commit in
+    if committed > 0 then Probe.add p ~lane Accounting.Issued committed;
+    let idle = st.cfg.Config.commit_width - committed in
+    if idle > 0 then begin
+      let cat =
+        if st.rob_count = 0 then empty_reason st ~narrow:false
+        else begin
+          let head = rob_peek st in
+          if not head.n_issued then blocked_reason st head.n_cluster head
+          else if head.n_is_mem then Accounting.Memory
+          else Accounting.Wait_operands
+        end
+      in
+      Probe.add p ~lane cat idle
+    end;
+    Probe.round p ~lane
+  end
 
 (* ----- width misprediction recovery ----- *)
 
@@ -1856,13 +1866,9 @@ let commit st =
 
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
-let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
-    trace =
-  let st = create ?sink ?accounting cfg decide trace in
+let run ?(max_ticks = 200_000_000) ?probe ~cfg ~decide ~scheme_name trace =
+  let st = create ?probe cfg decide trace in
   let helper = cfg.Config.scheme.Config.helper in
-  let sample_every =
-    match sink with Some s -> Sink.interval s | None -> 0
-  in
   while not (finished st) do
     if st.now > max_ticks then
       failwith
@@ -1872,22 +1878,22 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
     let even = st.now mod 2 = 0 in
     if even then begin
       let commit_used = commit st in
-      ( match st.acct with
-      | Some a -> account_commit_round st a ~committed:commit_used
-      | None -> () );
+      ( match st.probe with
+      | None -> ()
+      | Some p -> account_commit_round st p ~committed:commit_used );
       st.stall_src <- Sr_none;
       frontend st;
       issue_cluster st Config.Wide;
       let issued_w = st.iss_issued and leftover_w = st.iss_ready in
-      ( match st.acct with
-      | Some a -> account_issue_round st a Config.Wide ~issued:issued_w
-      | None -> () );
+      ( match st.probe with
+      | None -> ()
+      | Some p -> account_issue_round st p Config.Wide ~issued:issued_w );
       if helper then begin
         issue_cluster st Config.Narrow;
         let issued_n = st.iss_issued and leftover_n = st.iss_ready in
-        ( match st.acct with
-        | Some a -> account_issue_round st a Config.Narrow ~issued:issued_n
-        | None -> () );
+        ( match st.probe with
+        | None -> ()
+        | Some p -> account_issue_round st p Config.Narrow ~issued:issued_n );
         (* NREADY (§3.7): ready uops stalled here while the other backend
            had idle slots this cycle *)
         let spare_n = cfg.Config.issue_width - issued_n in
@@ -1902,36 +1908,29 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
     end
     else if helper && cfg.Config.helper_fast_clock then begin
       issue_cluster st Config.Narrow;
-      match st.acct with
-      | Some a -> account_issue_round st a Config.Narrow ~issued:st.iss_issued
+      match st.probe with
       | None -> ()
+      | Some p -> account_issue_round st p Config.Narrow ~issued:st.iss_issued
     end;
     incr st.c_tick;
     if even then incr st.c_cycle_wide;
     if helper && (even || cfg.Config.helper_fast_clock) then
       incr st.c_cycle_narrow;
-    if sample_every > 0 && st.now > 0 && st.now mod sample_every = 0 then begin
-      ( match st.sink with
-      | Some sink -> take_sample st sink
-      | None -> () );
-      match st.acct with
-      | Some a -> Accounting.snapshot a ~tick:st.now
-      | None -> ()
-    end;
+    ( match st.probe with
+    | None -> ()
+    | Some p -> if Probe.due p ~tick:st.now then probe_boundary st p );
     st.now <- st.now + 1
   done;
-  (* flush the tail interval so the series' column sums equal the final
-     metrics even when the run length is not a multiple of the interval *)
-  if sample_every > 0 then
-    ( match st.sink with
-    | Some sink -> take_sample st sink
-    | None -> () );
-  (* accounting flushes its tail even without a sampling sink, so a run
-     with accounting but no interval series still gets one whole-run
-     interval (stall-out CSV is never empty) *)
-  ( match st.acct with
-  | Some a -> Accounting.snapshot a ~tick:st.now
-  | None -> () );
+  (* flush the tail interval, so the series' column sums equal the final
+     metrics even when the run length is not a multiple of the interval,
+     and an accounting-only probe still gets one whole-run interval *)
+  let stall =
+    match st.probe with
+    | None -> None
+    | Some p ->
+      probe_boundary st p;
+      Probe.stall_totals p
+  in
   {
     Metrics.name = trace.Trace.name;
     scheme_name;
@@ -1957,9 +1956,6 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
     issued_total = st.issued_total;
     static_narrow_bound = None;
     static_bidir_bound = None;
-    stall =
-      ( match st.acct with
-      | Some a -> Some (Accounting.totals a)
-      | None -> None );
+    stall;
     counters = st.counters;
   }

@@ -34,8 +34,7 @@ type decide = Steer.decide
 
 val run :
   ?max_ticks:int ->
-  ?sink:Hc_obs.Sink.t ->
-  ?accounting:Accounting.t ->
+  ?probe:Hc_obs.Probe.t ->
   cfg:Config.t ->
   decide:decide ->
   scheme_name:string ->
@@ -45,21 +44,17 @@ val run :
     [max_ticks] (default 200 million) guards against livelock bugs — the
     simulator raises [Failure] if it is exceeded.
 
-    [sink] attaches telemetry: per-uop lifecycle events
-    (dispatch/issue/writeback/commit/squash, copies and slices, width
-    flushes) into the sink's bounded ring when it traces, and an interval
-    metrics time series when its sampling interval is positive. The tail
-    interval is flushed at the end of the run, so
-    [Hc_obs.Sample.aggregate (Sink.samples sink)] equals the returned
-    metrics' dynamic counts. Observation never changes simulated
-    behavior: the returned {!Metrics.t} is bit-identical with or without
-    a sink.
-
-    [accounting] attaches the top-down cycle-accounting engine: every
-    issue round of each cluster and every commit round attributes its
-    slots to the disjoint {!Accounting.category} taxonomy, so
-    [Accounting.consistent] holds exactly on the totals and on every
-    interval delta (snapshots follow the [sink] sampling cadence). The
-    returned metrics carry the totals in [Metrics.stall]; aside from
-    that field the metrics are bit-identical with or without accounting.
+    [probe] observes the run with the recorders it was created with
+    ({!Hc_obs.Probe}), its slot accumulator sized from [cfg]: per-uop
+    lifecycle events (dispatch/issue/writeback/commit/squash, copies and
+    slices, width flushes) into its bounded ring; the interval metrics
+    series, whose tail is flushed at run end so
+    [Hc_obs.Sample.aggregate (Probe.samples probe)] equals the returned
+    metrics' dynamic counts; and the top-down slot attribution, where
+    every issue round of each cluster and every commit round attributes
+    its slots to the disjoint {!Hc_obs.Accounting.category} taxonomy, so
+    [Accounting.consistent] holds exactly on the totals (returned in
+    [Metrics.stall]) and on every stall interval. Observation never
+    changes simulated behavior: aside from [Metrics.stall] the returned
+    {!Metrics.t} is bit-identical with or without a probe.
     @raise Invalid_argument on an invalid [cfg]. *)

@@ -194,6 +194,14 @@ if dune exec bin/hc_sim.exe -- --file "$SMOKE_DIR/lint_cut.hct" \
   echo "FAIL: hc_sim --file accepted a truncated binary trace"
   exit 1
 fi
+# the inspection subcommands refuse a truncated or missing trace with a
+# coded diagnostic: exit exactly 1, not 0 and not cmdliner's 125
+expect_exit_1() {
+  rc=0; dune exec "$@" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 1 ] || { echo "FAIL: $* exited $rc, expected 1"; exit 1; }
+}
+expect_exit_1 bin/hc_trace.exe -- stats -f "$SMOKE_DIR/lint_cut.hct"
+expect_exit_1 bin/hc_trace.exe -- dump -f "$SMOKE_DIR/no_such_trace.hct"
 echo "binary trace gate OK"
 
 echo "== observability gate =="
@@ -267,6 +275,11 @@ sed -E 's/"stall":\{.*"commit":\{[^}]*\}\},//' "$SMOKE_DIR/acct_metrics.json" \
   > "$SMOKE_DIR/acct_stripped.json"
 dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/acct_plain.json" \
   "$SMOKE_DIR/acct_stripped.json"
+# accounting without --metrics-interval still writes one whole-run stall
+# interval: a header plus exactly one data row
+dune exec bin/hc_sim.exe -- --benchmark gcc --scheme +IR --length 5000 \
+  --compare false --stall-out "$SMOKE_DIR/acct_whole.csv" > /dev/null
+test "$(wc -l < "$SMOKE_DIR/acct_whole.csv")" -eq 2
 # ...and prove the partition gate can fail: break one category count
 sed -E 's/"dispatch":[0-9]+/"dispatch":1/' "$SMOKE_DIR/acct_metrics.json" \
   > "$SMOKE_DIR/acct_perturbed.json"

@@ -5,10 +5,11 @@
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
-module Accounting = Hc_sim.Accounting
+module Accounting = Hc_obs.Accounting
 module Profile = Hc_trace.Profile
 module Generator = Hc_trace.Generator
-module Sink = Hc_obs.Sink
+module Probe = Hc_obs.Probe
+module Sample = Hc_obs.Sample
 
 let all_schemes = List.map fst Hc_steering.Policy.stack
 
@@ -25,14 +26,14 @@ let resolve scheme tr =
     ( Config.with_scheme Config.default (Config.find_scheme scheme),
       Hc_steering.Policy.decide )
 
-let run_acct ?sink scheme tr =
+(* one run under an accounting probe: its metrics and the probe *)
+let run_acct ?interval ?(tracing = false) scheme tr =
   let cfg, decide = resolve scheme tr in
-  let a =
-    Accounting.create ~issue_width:cfg.Config.issue_width
-      ~commit_width:cfg.Config.commit_width ()
-  in
-  let m = Pipeline.run ?sink ~accounting:a ~cfg ~decide ~scheme_name:scheme tr in
-  (m, a)
+  let probe = Probe.create ?interval ~accounting:true ~tracing () in
+  let m = Pipeline.run ~probe ~cfg ~decide ~scheme_name:scheme tr in
+  (m, probe)
+
+let stall (m : Metrics.t) = Option.get m.Metrics.stall
 
 (* every SPEC profile x every scheme in the stack (plus the static
    oracle): sum(categories) = width x rounds, exactly, on all three lanes *)
@@ -42,8 +43,8 @@ let test_partition_all_profiles () =
       let tr = Generator.generate_sliced ~length:2_000 p in
       List.iter
         (fun scheme ->
-          let m, a = run_acct scheme tr in
-          let s = Accounting.totals a in
+          let m, _ = run_acct scheme tr in
+          let s = stall m in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s partition exact" p.Profile.name scheme)
             true
@@ -58,9 +59,8 @@ let test_partition_all_profiles () =
    and the deltas re-add to exactly the end-of-run totals *)
 let test_intervals_partition_and_sum () =
   let tr = Generator.generate_sliced ~length:6_000 (Profile.find_spec_int "gcc") in
-  let sink = Sink.create ~interval:500 ~tracing:false () in
-  let _, a = run_acct ~sink "+IR" tr in
-  let ivals = Accounting.intervals a in
+  let m, p = run_acct ~interval:500 "+IR" tr in
+  let ivals = Probe.stall_intervals p in
   Alcotest.(check bool) "several intervals" true (List.length ivals > 3);
   List.iter
     (fun (iv : Accounting.interval) ->
@@ -79,7 +79,7 @@ let test_intervals_partition_and_sum () =
       ivals
   in
   Alcotest.(check bool) "interval deltas sum to run totals" true
-    (sum = Accounting.totals a);
+    (sum = stall m);
   (* intervals tile the run: contiguous, strictly increasing *)
   ignore
     (List.fold_left
@@ -91,7 +91,8 @@ let test_intervals_partition_and_sum () =
        0 ivals)
 
 (* accounting must not perturb the simulation: same trace, same scheme,
-   with and without the accumulator, all metrics identical (the stall
+   with and without the accumulator — alone, and in a fully armed probe
+   that also traces and samples — all metrics identical (the stall
    object is the only JSON difference, by construction) *)
 let test_accounting_bit_identity () =
   let tr = Generator.generate_sliced ~length:4_000 (Profile.find_spec_int "mcf") in
@@ -99,19 +100,22 @@ let test_accounting_bit_identity () =
     (fun scheme ->
       let cfg, decide = resolve scheme tr in
       let plain = Pipeline.run ~cfg ~decide ~scheme_name:scheme tr in
-      let with_acct, _ = run_acct scheme tr in
-      Alcotest.(check string)
-        (scheme ^ " metrics JSON identical with stall stripped")
-        (Metrics.to_json plain)
-        (Metrics.to_json { with_acct with Metrics.stall = None }))
+      let check what (observed, _) =
+        Alcotest.(check string)
+          (scheme ^ " metrics JSON identical with stall stripped, " ^ what)
+          (Metrics.to_json plain)
+          (Metrics.to_json { observed with Metrics.stall = None })
+      in
+      check "accounting alone" (run_acct scheme tr);
+      check "fully armed probe" (run_acct ~interval:500 ~tracing:true scheme tr))
     [ "baseline"; "8_8_8"; "+IR" ]
 
 (* the commit lane accounts every even tick; the wide lane every even
    tick; the narrow lane twice per cycle under the fast helper clock *)
 let test_round_counts () =
   let tr = Generator.generate_sliced ~length:2_000 (Profile.find_spec_int "gzip") in
-  let _, a = run_acct "8_8_8" tr in
-  let s = Accounting.totals a in
+  let m, _ = run_acct "8_8_8" tr in
+  let s = stall m in
   Alcotest.(check int) "wide rounds = cycles"
     s.Accounting.rounds.(Accounting.lane_wide)
     s.Accounting.rounds.(Accounting.lane_commit);
@@ -119,16 +123,13 @@ let test_round_counts () =
     (s.Accounting.rounds.(Accounting.lane_narrow)
      >= 2 * s.Accounting.rounds.(Accounting.lane_wide) - 1);
   (* committed uops all pass through the commit lane's issued slots *)
-  let m, a2 = run_acct "8_8_8" tr in
   Alcotest.(check int) "commit issued slots = committed uops"
     m.Metrics.committed
-    (Accounting.get (Accounting.totals a2) ~lane:Accounting.lane_commit
-       Accounting.Issued)
+    (Accounting.get s ~lane:Accounting.lane_commit Accounting.Issued)
 
 let test_csv_shape () =
   let tr = Generator.generate_sliced ~length:3_000 (Profile.find_spec_int "eon") in
-  let sink = Sink.create ~interval:400 ~tracing:false () in
-  let _, a = run_acct ~sink "+CR" tr in
+  let _, p = run_acct ~interval:400 "+CR" tr in
   let header_cols = String.split_on_char ',' Accounting.csv_header in
   Alcotest.(check int) "header: 2 + 3 lanes x (9 cats + rounds)"
     (2 + (Accounting.nlanes * (Accounting.ncat + 1)))
@@ -139,7 +140,29 @@ let test_csv_shape () =
         (List.length header_cols)
         (List.length
            (String.split_on_char ',' (Accounting.interval_csv_row iv))))
-    (Accounting.intervals a)
+    (Probe.stall_intervals p)
+
+(* the stall series and the metrics series close their intervals at the
+   same ticks; accounting without a sampling interval records no metrics
+   samples and exactly one whole-run stall interval *)
+let test_shared_boundaries () =
+  let tr = Generator.generate_sliced ~length:6_000 (Profile.find_spec_int "gcc") in
+  let stall_spans p =
+    List.map
+      (fun (iv : Accounting.interval) -> (iv.Accounting.iv_start, iv.Accounting.iv_end))
+      (Probe.stall_intervals p)
+  in
+  let _, p = run_acct ~interval:500 "+IR" tr in
+  Alcotest.(check (list (pair int int)))
+    "stall intervals = metrics samples"
+    (List.map
+       (fun (s : Sample.t) -> (s.Sample.t_start, s.Sample.t_end))
+       (Probe.samples p))
+    (stall_spans p);
+  let m, p = run_acct "+IR" tr in
+  Alcotest.(check int) "no metrics samples" 0 (Probe.sample_count p);
+  Alcotest.(check (list (pair int int)))
+    "one whole-run stall interval" [ (0, m.Metrics.ticks) ] (stall_spans p)
 
 (* randomized: any (profile, scheme, length) keeps the partition exact *)
 let prop_partition =
@@ -158,14 +181,13 @@ let prop_partition =
     (QCheck.make ~print gen)
     (fun (bench, scheme, len) ->
       let tr = Generator.generate_sliced ~length:len (Profile.find_spec_int bench) in
-      let sink = Sink.create ~interval:256 ~tracing:false () in
-      let m, a = run_acct ~sink scheme tr in
-      Accounting.consistent (Accounting.totals a)
+      let m, p = run_acct ~interval:256 scheme tr in
+      Accounting.consistent (stall m)
       && Metrics.stall_consistent m
       && List.for_all
            (fun (iv : Accounting.interval) ->
              Accounting.consistent iv.Accounting.iv_d)
-           (Accounting.intervals a))
+           (Probe.stall_intervals p))
 
 let suite =
   ( "accounting",
@@ -178,5 +200,7 @@ let suite =
         test_accounting_bit_identity;
       Alcotest.test_case "round counts" `Quick test_round_counts;
       Alcotest.test_case "stall CSV shape" `Quick test_csv_shape;
+      Alcotest.test_case "stall intervals share the metrics sample boundaries"
+        `Quick test_shared_boundaries;
       QCheck_alcotest.to_alcotest prop_partition;
     ] )

@@ -7,7 +7,7 @@
 module Ring = Hc_obs.Ring
 module Event = Hc_obs.Event
 module Sample = Hc_obs.Sample
-module Sink = Hc_obs.Sink
+module Probe = Hc_obs.Probe
 module Chrome_trace = Hc_obs.Chrome_trace
 module Telemetry = Hc_core.Telemetry
 module Domain_pool = Hc_core.Domain_pool
@@ -213,12 +213,12 @@ let test_sample_algebra () =
 let obs_trace =
   lazy (Generator.generate_sliced ~length:2_000 (Profile.find_spec_int "gcc"))
 
-let run_scheme ?sink scheme =
+let run_scheme ?probe scheme =
   let cfg =
     if scheme = "baseline" then Config.baseline
     else Config.with_scheme Config.default (Config.find_scheme scheme)
   in
-  Pipeline.run ?sink ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name:scheme
+  Pipeline.run ?probe ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name:scheme
     (Lazy.force obs_trace)
 
 let metrics_equal ~cell (a : Metrics.t) (b : Metrics.t) =
@@ -251,18 +251,18 @@ let metrics_equal ~cell (a : Metrics.t) (b : Metrics.t) =
     (Counter.names a.Metrics.counters)
 
 let test_observation_is_free () =
-  (* the whole point of the sink design: attaching full tracing AND the
+  (* the whole point of the probe design: attaching full tracing AND the
      interval sampler must not change a single metric *)
   List.iter
     (fun scheme ->
       let plain = run_scheme scheme in
-      let sink = Sink.create ~ring_capacity:1024 ~interval:250 ~tracing:true () in
-      let observed = run_scheme ~sink scheme in
+      let probe = Probe.create ~ring_capacity:1024 ~interval:250 ~tracing:true () in
+      let observed = run_scheme ~probe scheme in
       metrics_equal ~cell:(scheme ^ " traced") plain observed;
       Alcotest.(check bool)
         (scheme ^ ": events were recorded")
         true
-        (Sink.events_pushed sink > 0))
+        (Probe.events_pushed probe > 0))
     [ "baseline"; "8_8_8"; "+IR" ]
 
 (* a totals record shows as the interval JSON object carrying it *)
@@ -277,11 +277,11 @@ let totals =
 let test_interval_aggregate_equals_metrics () =
   List.iter
     (fun interval ->
-      let sink = Sink.create ~interval ~tracing:false () in
-      let m = run_scheme ~sink "+IR" in
-      let agg = Sample.aggregate (Sink.samples sink) in
+      let probe = Probe.create ~interval ~tracing:false () in
+      let m = run_scheme ~probe "+IR" in
+      let agg = Sample.aggregate (Probe.samples probe) in
       let cell = Printf.sprintf "interval=%d" interval in
-      Alcotest.(check bool) (cell ^ ": sampled") true (Sink.sample_count sink > 0);
+      Alcotest.(check bool) (cell ^ ": sampled") true (Probe.sample_count probe > 0);
       (* every one of the record's columns, not a chosen few *)
       Alcotest.check totals (cell ^ ": totals") (Metrics.totals m) agg;
       (* monotone, contiguous, non-empty intervals *)
@@ -292,18 +292,18 @@ let test_interval_aggregate_equals_metrics () =
           contiguous rest
         | _ -> ()
       in
-      contiguous (Sink.samples sink))
+      contiguous (Probe.samples probe))
     [ 100; 1_000; 1_000_000 (* one giant interval: only the tail flush *) ]
 
 let test_chrome_trace_json () =
-  let sink = Sink.create ~interval:500 ~tracing:true () in
-  ignore (run_scheme ~sink "+IR");
-  let events = Sink.events sink in
+  let probe = Probe.create ~interval:500 ~tracing:true () in
+  ignore (run_scheme ~probe "+IR");
+  let events = Probe.events probe in
   Alcotest.(check bool) "have events" true (events <> []);
   let js =
     Chrome_trace.to_string
-      ~ring:(Sink.events_pushed sink, Sink.events_dropped sink)
-      ~events ~samples:(Sink.samples sink) ()
+      ~ring:(Probe.events_pushed probe, Probe.events_dropped probe)
+      ~events ~samples:(Probe.samples probe) ()
   in
   Alcotest.(check bool) "chrome trace JSON parses" true (json_valid js);
   (* spans and counters actually made it in *)
@@ -342,14 +342,14 @@ let test_mkdir_p_nested () =
   Telemetry.mkdir_p deep;
   Alcotest.(check bool) "nested dir exists" true
     (Sys.file_exists deep && Sys.is_directory deep);
-  let sink = Sink.create ~interval:500 ~tracing:false () in
-  ignore (run_scheme ~sink "+IR");
+  let probe = Probe.create ~interval:500 ~tracing:false () in
+  ignore (run_scheme ~probe "+IR");
   let nested = Filename.concat deep "series.csv" in
-  let written = Telemetry.write_intervals_csv ~path:nested (Sink.samples sink) in
+  let written = Telemetry.write_intervals_csv ~path:nested (Probe.samples probe) in
   Alcotest.(check bool) "csv written through parents" true
     (Sys.file_exists written);
   let jpath = Filename.concat deep "series.json" in
-  ignore (Telemetry.write_intervals_json ~path:jpath (Sink.samples sink));
+  ignore (Telemetry.write_intervals_json ~path:jpath (Probe.samples probe));
   let ic = open_in jpath in
   let len = in_channel_length ic in
   let js = really_input_string ic len in

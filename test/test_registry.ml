@@ -6,13 +6,13 @@
    matching the Metrics / Artifact_cache / Domain_pool ground truth on
    all 12 seed workloads, span collection + JSONL export read back
    through lib/report's strict parser, Prometheus exposition round-trip,
-   the live progress reporter, and the sink's dropped-event warning. *)
+   the live progress reporter, and the probe's dropped-event warning. *)
 
 module Registry = Hc_obs.Registry
 module Span = Hc_obs.Span
 module Log = Hc_obs.Log
 module Prom = Hc_obs.Prom
-module Sink = Hc_obs.Sink
+module Probe = Hc_obs.Probe
 module Event = Hc_obs.Event
 module Json = Hc_report.Json
 module Domain_pool = Hc_core.Domain_pool
@@ -490,15 +490,15 @@ let test_progress_reporter () =
   close_out out2;
   check_str "silent when disabled" "" (read_file path2)
 
-(* ----- sink summary / dropped warning ----- *)
+(* ----- probe summary / dropped warning ----- *)
 
-let test_sink_dropped_warning () =
-  let sink = Sink.create ~ring_capacity:4 ~tracing:true () in
-  check "complete: no warning" true (Sink.dropped_warning sink = None);
+let test_probe_dropped_warning () =
+  let probe = Probe.create ~ring_capacity:4 ~tracing:true () in
+  check "complete: no warning" true (Probe.dropped_warning probe = None);
   for _ = 1 to 10 do
-    Sink.emit sink Event.dummy
+    Probe.emit probe Event.dummy
   done;
-  ( match Sink.dropped_warning sink with
+  ( match Probe.dropped_warning probe with
   | None -> Alcotest.fail "wrapped ring must warn"
   | Some w ->
     check "mentions the flag" true
@@ -507,7 +507,7 @@ let test_sink_dropped_warning () =
          i + 14 <= n && (String.sub w i 14 = "--trace-buffer" || go (i + 1))
        in
        go 0) );
-  let s = Sink.summary sink in
+  let s = Probe.summary probe in
   check "summary counts" true
     (s = "events: 10 pushed, 6 dropped (ring wrap); samples: 0")
 
@@ -531,6 +531,6 @@ let suite =
       Alcotest.test_case "prom exposition round-trip" `Quick
         test_prom_roundtrip;
       Alcotest.test_case "progress reporter" `Quick test_progress_reporter;
-      Alcotest.test_case "sink dropped warning" `Quick
-        test_sink_dropped_warning;
+      Alcotest.test_case "probe dropped warning" `Quick
+        test_probe_dropped_warning;
     ] )

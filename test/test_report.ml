@@ -11,7 +11,7 @@ module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
 module Meta = Hc_core.Meta
 module Telemetry = Hc_core.Telemetry
-module Sink = Hc_obs.Sink
+module Probe = Hc_obs.Probe
 module Sample = Hc_obs.Sample
 module Chrome_trace = Hc_obs.Chrome_trace
 
@@ -20,9 +20,9 @@ let trace =
     (Hc_trace.Generator.generate_sliced ~length:4_000
        (Hc_trace.Profile.find_spec_int "gcc"))
 
-let run ?sink scheme_name scheme =
+let run ?probe scheme_name scheme =
   let cfg = Config.with_scheme Config.default scheme in
-  Pipeline.run ?sink ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name
+  Pipeline.run ?probe ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name
     (Lazy.force trace)
 
 (* ----- parser ----- *)
@@ -89,8 +89,8 @@ let test_roundtrip_meta_json () =
 let test_attrib_sums_all_schemes () =
   List.iter
     (fun (name, scheme) ->
-      let sink = Sink.create ~interval:300 ~tracing:false () in
-      let m = run ~sink name scheme in
+      let probe = Probe.create ~interval:300 ~tracing:false () in
+      let m = run ~probe name scheme in
       let cell what = Printf.sprintf "%s: %s" name what in
       Alcotest.(check int)
         (cell "narrow attribution sums to steered_narrow")
@@ -112,8 +112,8 @@ let test_attrib_sums_all_schemes () =
             (cell "interval attribution consistent")
             true
             (Sample.attrib_consistent s.Sample.d))
-        (Sink.samples sink);
-      let agg = Sample.aggregate (Sink.samples sink) in
+        (Probe.samples probe);
+      let agg = Sample.aggregate (Probe.samples probe) in
       Alcotest.(check int) (cell "aggregate steered_888")
         m.Metrics.steered_888 agg.Sample.steered_888;
       Alcotest.(check int) (cell "aggregate wide_demoted")
@@ -180,10 +180,10 @@ let test_diff_real_metrics () =
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 let test_csv_roundtrip () =
-  let sink = Sink.create ~interval:250 ~tracing:false () in
-  let m = run ~sink "+IR" (Config.find_scheme "+IR") in
+  let probe = Probe.create ~interval:250 ~tracing:false () in
+  let m = run ~probe "+IR" (Config.find_scheme "+IR") in
   let path = tmp "hc_test_intervals.csv" in
-  let _ = Telemetry.write_intervals_csv ~path (Sink.samples sink) in
+  let _ = Telemetry.write_intervals_csv ~path (Probe.samples probe) in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
@@ -191,7 +191,7 @@ let test_csv_roundtrip () =
       | Error e -> Alcotest.fail e
       | Ok csv ->
         Alcotest.(check int) "row count"
-          (List.length (Sink.samples sink))
+          (List.length (Probe.samples probe))
           (Loader.rows csv);
         let sum name =
           match Loader.column csv name with
